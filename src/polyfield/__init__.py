@@ -2,11 +2,12 @@
 
 The package builds the phase space of graded momenta over a product of a
 base (space-time) and a fiber (field) manifold, its canonical n-form and
-closed (n+1)-form, performs the Legendre correspondence, provides the
+closed (n+1)-form, performs the Legendre correspondence, and provides the
 generalized Poisson bracket algebra on forms (including the Grassmann
-extension to lower degree), integrates the first-order covariant Hamilton
-equations at desk scale and ships the scalar-field, bosonic-string and
-electromagnetic example systems.
+extension to lower degree).  Besides the full and De Donder-Weyl charts it
+has the electromagnetic chart with the antisymmetric momentum constraint.
+``polyfield legendre`` (``polyfield.cli``) runs one Legendre solve from the
+command line.
 """
 
 from .expr import Expression, OpaqueJet, parse

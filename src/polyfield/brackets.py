@@ -295,17 +295,16 @@ def super_scalar(chart, scalar) -> SuperForm:
 
 
 def scalar_of_super(sf: SuperForm) -> Expression:
-    """Invert ``super_scalar``: report c with sf = superform(c); raises if
-    the component pattern does not match a single scalar."""
+    """Invert ``super_scalar``: report c with sf = superform(c); raises
+    BracketError if the component pattern does not match a single scalar,
+    that is when two component ratios to the superform of 1 differ."""
     chart = sf.chart
-    n = chart.n
-    probe = None
     for S in sf.parts:
-        if len(S) != n - 1:
+        if len(S) != chart.n - 1:
             raise BracketError("not the superform of a scalar")
     # compare against the superform of 1 componentwise
     unit = super_scalar(chart, 1.0)
-    ratios = {}
+    ratios = []
     for S, base_form in unit.parts.items():
         got = sf.parts.get(S)
         if got is None:
@@ -313,12 +312,15 @@ def scalar_of_super(sf: SuperForm) -> Expression:
         for key, coeff in base_form.coeffs.items():
             other = got.coeffs.get(key)
             if other is not None:
-                ratios[S] = other / coeff
-                break
+                ratios.append((S, key, other / coeff))
     if not ratios:
         raise BracketError("no overlapping components")
-    vals = list(ratios.values())
-    return vals[0]
+    c = ratios[0][2]
+    for S, key, r in ratios[1:]:
+        if not (r - c).is_zero():
+            raise BracketError(f"component ratios disagree: {r} at tau block {S}, "
+                               f"key {key} against {c}")
+    return c
 
 
 def superize(a: Form, xi_solver=None, verify_points=None, tol=1e-9,

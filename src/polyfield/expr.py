@@ -752,11 +752,11 @@ def to_source(e) -> str:
     """Render an expression; ``parse(to_source(e))`` evaluates identically."""
     if isinstance(e, Const):
         v = e.value
-        if v == int(v) and abs(v) < 1e16:
+        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
             s = str(int(v))
         else:
             s = repr(v)
-        return s if v >= 0 else f"({s})"
+        return f"({s})" if v < 0 else s
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Opaque):

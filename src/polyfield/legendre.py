@@ -12,6 +12,14 @@ are the coefficients of the weighted wedge blocks, so on a flat chart it
 is the plain covector evaluation and on a weighted chart it matches the
 covariant conventions of the example systems.
 
+Every pairing quantity is a signed sum of n x n minors of the frame
+z = [1; v] over the canonical q-subsets, with no column, one (v-gradient,
+Hamiltonian tensor) or two (v-Hessian) replaced by coordinate directions.
+One kernel serves them all: it takes one ``np.linalg.det`` over the
+(patterns, momenta, n, n) stack of these minors, with tables built per
+chart on first use, and contracts it with signed momentum values (or, for
+dH/dp, with the signs of one coordinate).
+
 The Hamiltonian H(q, p) = W(q, V(q, p), p) differentiates through the
 envelope identities: the critical-point condition kills the dV terms, so
 dH needs only the explicit q-derivative of L and the velocity minors.  No
@@ -21,6 +29,7 @@ derivative of the iterative solve is ever taken.
 from __future__ import annotations
 
 import logging
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -30,7 +39,7 @@ from .expr import EvalDomainError, Expression, OpaqueJet, as_expr
 __all__ = [
     "Lagrangian", "LegendreError", "SingularHessian", "NoConvergence",
     "ConstraintViolation", "velocity_name", "pairing", "generating_w",
-    "legendre_solve", "weyl_legendre", "EnvelopeHamiltonian",
+    "legendre_solve", "SolveReport", "weyl_legendre", "EnvelopeHamiltonian",
     "hamiltonian_from_legendre", "hamiltonian_tensor", "stress_energy",
 ]
 
@@ -68,14 +77,12 @@ class Lagrangian:
         self.v_names = tuple(
             tuple(velocity_name(chart, a, i) for a in range(1, chart.n + 1))
             for i in range(1, chart.k + 1))
-        allowed = set(chart.base_names) | set(chart.fiber_names)
-        allowed |= {nm for row in self.v_names for nm in row}
+        self._flat = [nm for row in self.v_names for nm in row]
+        allowed = set(chart.base_names) | set(chart.fiber_names) | set(self._flat)
         unknown = self.expression.free_symbols() - allowed
         if unknown:
             raise ValueError(f"Lagrangian uses non-configuration symbols {sorted(unknown)}")
-        self._dv = {}
-        self._dq = {}
-        self._d2v = {}
+        self._derivs = {}
 
     @classmethod
     def parse(cls, chart, text: str) -> "Lagrangian":
@@ -84,117 +91,101 @@ class Lagrangian:
         return cls(chart, chart.parse(text, extra_symbols=v_syms))
 
     def _env(self, pt, v):
-        env = dict(pt)
-        for i in range(self.chart.k):
-            for a in range(self.chart.n):
-                env[self.v_names[i][a]] = float(v[i, a])
-        return env
+        return {**pt, **dict(zip(self._flat, np.asarray(v, dtype=float).ravel().tolist()))}
 
     def value(self, pt, v) -> float:
         return float(self.expression.evaluate(self._env(pt, v)))
 
-    def dv_expr(self, i: int, a: int) -> Expression:
-        key = (i, a)
-        if key not in self._dv:
-            self._dv[key] = self.expression.diff(self.v_names[i - 1][a - 1])
-        return self._dv[key]
-
-    def dq_expr(self, name: str) -> Expression:
-        if name not in self._dq:
-            self._dq[name] = self.expression.diff(name)
-        return self._dq[name]
+    def derivative(self, *names) -> Expression:
+        """The partial derivative of L in ``names``, taken in order, once."""
+        if names not in self._derivs:
+            inner = self.derivative(*names[:-1]) if len(names) > 1 else self.expression
+            self._derivs[names] = inner.diff(names[-1])
+        return self._derivs[names]
 
     def dv(self, pt, v) -> np.ndarray:
         env = self._env(pt, v)
-        k, n = self.chart.k, self.chart.n
-        out = np.empty((k, n))
-        for i in range(1, k + 1):
-            for a in range(1, n + 1):
-                out[i - 1, a - 1] = float(self.dv_expr(i, a).evaluate(env))
-        return out
+        return np.array([[float(self.derivative(nm).evaluate(env)) for nm in row]
+                         for row in self.v_names])
 
     def d2v(self, pt, v) -> np.ndarray:
         """Velocity Hessian, flattened over (i, a) pairs."""
         env = self._env(pt, v)
-        k, n = self.chart.k, self.chart.n
-        out = np.empty((k * n, k * n))
-        for i in range(1, k + 1):
-            for a in range(1, n + 1):
-                for j in range(1, k + 1):
-                    for b in range(1, n + 1):
-                        key = (i, a, j, b)
-                        if key not in self._d2v:
-                            self._d2v[key] = self.dv_expr(i, a).diff(self.v_names[j - 1][b - 1])
-                        out[(i - 1) * n + a - 1, (j - 1) * n + b - 1] = \
-                            float(self._d2v[key].evaluate(env))
-        return out
+        return np.array([[float(self.derivative(a, b).evaluate(env)) for b in self._flat]
+                         for a in self._flat])
 
 
-def _z_matrix(chart, v) -> np.ndarray:
-    """Columns are the tangent frame z_a = d/dx^a + v^i_a d/dy^i."""
-    z = np.zeros((chart.n + chart.k, chart.n))
-    z[:chart.n, :] = np.eye(chart.n)
-    z[chart.n:, :] = v
-    return z
+_Tables = namedtuple("_Tables", "rows coords signs groups d2v_slots frame")
 
 
-def _pairing_from_z(chart, pt, z) -> float:
-    total = 0.0
-    for I, coord, sign in chart.canonical_momenta():
-        pc = pt[chart.names[coord]]
-        if pc == 0.0:
-            continue
-        total += sign * pc * float(np.linalg.det(z[list(I), :]))
-    return total
+def _tables(chart) -> _Tables:
+    """The kernel's tables, built on first use and kept on the chart: the
+    canonical q-subsets (rows) with their coordinates and signs, per pattern
+    group the kept columns ((patterns, 1, 1, n)) and put-in unit entries
+    ((patterns, momenta, n, n)) of the replaced minors, the flat slots of
+    the v-Hessian patterns, and the frame at v = 0 (copying it is several
+    times faster than stacking a new identity on every call)."""
+    if chart._minor_tables is None:
+        n, k = chart.n, chart.k
+        rows, coords, signs = map(np.array, zip(*chart.canonical_momenta()))
+        hess = [(i, a, j, b) for i in range(k) for a in range(n)
+                for j in range(k) for b in range(n) if a != b]
+        groups = {}
+        for name, patterns in (("pairing", [()]),
+                               ("dv", [((a, n + i),) for i in range(k) for a in range(n)]),
+                               ("d2v", [((a, n + i), (b, n + j)) for i, a, j, b in hess]),
+                               ("tensor", [((a, b),) for a in range(n) for b in range(n)])):
+            keep = np.ones((len(patterns), 1, 1, n))
+            unit = np.zeros((len(patterns), n + k, n))
+            for p, replaced in enumerate(patterns):
+                for col, pos in replaced:
+                    keep[p, 0, 0, col], unit[p, pos, col] = 0.0, 1.0
+            groups[name] = keep, unit[:, rows]
+        slots = np.array([(i * n + a) * k * n + j * n + b for i, a, j, b in hess], dtype=np.intp)
+        chart._minor_tables = _Tables(rows, coords, signs.astype(float), groups, slots,
+                                      np.vstack((np.eye(n), np.zeros((k, n)))))
+    return chart._minor_tables
+
+
+def _minor_sums(chart, v, group, weights) -> np.ndarray:
+    """sum_m weights[m] * det(rows I_m of the frame, the pattern's columns
+    replaced) for every pattern of ``group``, in one det call."""
+    t = _tables(chart)
+    keep, unit = t.groups[group]
+    z = t.frame.copy()
+    z[chart.n:] = np.asarray(v, dtype=float).reshape(chart.k, chart.n)
+    return np.linalg.det(z[t.rows] * keep + unit) @ weights
+
+
+def _paired(chart, pt, v, group) -> np.ndarray:
+    """The point's momenta paired with every pattern of ``group``."""
+    t = _tables(chart)
+    return _minor_sums(chart, v, group, t.signs * [pt[chart.names[c]] for c in t.coords.tolist()])
 
 
 def pairing(chart, pt, v) -> float:
     """<p, v>: momenta paired with the decomposable n-vector of the velocity."""
-    v = np.asarray(v, dtype=float).reshape(chart.k, chart.n)
-    return _pairing_from_z(chart, pt, _z_matrix(chart, v))
-
-
-def _pairing_column_replaced(chart, pt, z, replacements) -> float:
-    """Pairing with frame columns replaced by coordinate directions;
-    ``replacements`` maps 1-based column a -> configuration position."""
-    zz = z.copy()
-    for a, pos in replacements.items():
-        zz[:, a - 1] = 0.0
-        zz[pos, a - 1] = 1.0
-    return _pairing_from_z(chart, pt, zz)
+    return float(_paired(chart, pt, v, "pairing")[0])
 
 
 def pairing_dv(chart, pt, v) -> np.ndarray:
     """Gradient of the pairing in the velocities: slot a replaced by the
     fiber-i coordinate direction."""
-    z = _z_matrix(chart, v)
-    out = np.empty((chart.k, chart.n))
-    for i in range(1, chart.k + 1):
-        for a in range(1, chart.n + 1):
-            out[i - 1, a - 1] = _pairing_column_replaced(
-                chart, pt, z, {a: chart.n + i - 1})
-    return out
+    return _paired(chart, pt, v, "dv").reshape(chart.k, chart.n)
 
 
 def pairing_d2v(chart, pt, v) -> np.ndarray:
-    z = _z_matrix(chart, v)
-    k, n = chart.k, chart.n
-    out = np.zeros((k * n, k * n))
-    for i in range(1, k + 1):
-        for a in range(1, n + 1):
-            for j in range(1, k + 1):
-                for b in range(1, n + 1):
-                    if a == b:
-                        continue
-                    out[(i - 1) * n + a - 1, (j - 1) * n + b - 1] = _pairing_column_replaced(
-                        chart, pt, z, {a: chart.n + i - 1, b: chart.n + j - 1})
-    return out
+    """Velocity Hessian of the pairing, flattened over (i, a) pairs: slots a
+    and b replaced by fiber directions i and j, zero where a == b."""
+    kn = chart.k * chart.n
+    out = np.zeros(kn * kn)
+    out[_tables(chart).d2v_slots] = _paired(chart, pt, v, "d2v")
+    return out.reshape(kn, kn)
 
 
 def generating_w(L: Lagrangian, pt, v, w_offset=None) -> float:
     """W(q, v, p) = <p, v> - L(q, v); the correspondence holds at critical
     points of W in v, where W itself equals the free parameter w."""
-    v = np.asarray(v, dtype=float).reshape(L.chart.k, L.chart.n)
     return pairing(L.chart, pt, v) - L.value(pt, v)
 
 
@@ -202,32 +193,32 @@ def w_gradient(L: Lagrangian, pt, v) -> np.ndarray:
     return pairing_dv(L.chart, pt, v) - L.dv(pt, v)
 
 
-def legendre_solve(L: Lagrangian, pt, v0=None, tol=1e-10, maxiter=50,
-                   cond_limit=1e12) -> np.ndarray:
+# Newton steps taken, max |dW/dv| and velocity Hessian condition at the solution
+SolveReport = namedtuple("SolveReport", "iterations residual condition")
+
+
+def legendre_solve(L: Lagrangian, pt, v0=None, tol=1e-10, maxiter=50, cond_limit=1e12):
     """Newton iteration for the critical point of v -> W(q, v, p).
 
-    Returns the velocity tensor with max |dW/dv| <= tol; unique within the
-    basin reached from ``v0`` (defaults to the zero tensor).
+    Returns ``(v, SolveReport)``: the velocity tensor with max |dW/dv| <= tol,
+    unique within the basin reached from ``v0`` (defaults to the zero
+    tensor).  The velocity Hessian is checked at every iterate and at v.
     """
-    chart = L.chart
-    k, n = chart.k, chart.n
+    chart, k, n = L.chart, L.chart.k, L.chart.n
     v = np.zeros((k, n)) if v0 is None else np.asarray(v0, dtype=float).reshape(k, n).copy()
-    for _ in range(maxiter):
+    for it in range(maxiter):
         grad = w_gradient(L, pt, v)
-        if np.max(np.abs(grad)) <= tol:
-            hess = pairing_d2v(chart, pt, v) - L.d2v(pt, v)
-            cond = float(np.linalg.cond(hess))
-            if not np.isfinite(cond) or cond > cond_limit:
-                raise SingularHessian(f"velocity Hessian condition {cond:.3e} at solution")
-            log.debug("legendre solve accepted: residual %.3e, hessian condition %.3e",
-                      float(np.max(np.abs(grad))), cond)
-            return v
+        residual = float(np.max(np.abs(grad)))
         hess = pairing_d2v(chart, pt, v) - L.d2v(pt, v)
         cond = float(np.linalg.cond(hess))
         if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularHessian(f"velocity Hessian condition {cond:.3e} at iterate")
-        step = np.linalg.solve(hess, -grad.reshape(-1))
-        v = v + step.reshape(k, n)
+            where = "solution" if residual <= tol else "iterate"
+            raise SingularHessian(f"velocity Hessian condition {cond:.3e} at {where}")
+        if residual <= tol:
+            log.debug("legendre solve accepted after %d Newton steps: residual %.3e, "
+                      "hessian condition %.3e", it, residual, cond)
+            return v, SolveReport(it, residual, cond)
+        v = v + np.linalg.solve(hess, -grad.reshape(-1)).reshape(k, n)
     raise NoConvergence(f"no convergence after {maxiter} Newton steps "
                         f"(residual {float(np.max(np.abs(w_gradient(L, pt, v)))):.3e})")
 
@@ -259,10 +250,7 @@ def weyl_legendre(L: Lagrangian, pt, v, w=0.0, constraint_tol=1e-9):
                 raise ConstraintViolation(
                     f"incompatible aliases for {name}: {stored[name]:.6e} vs {cand:.6e}")
             stored.setdefault(name, cand)
-    eps = w + L.value(pt, v) - float(np.sum(dLdv * v))
-    out = dict(stored)
-    out["eps"] = eps
-    return out
+    return {**stored, "eps": w + L.value(pt, v) - float(np.sum(dLdv * v))}
 
 
 def alias_value(chart, i: int, a: int):
@@ -275,7 +263,15 @@ def alias_value(chart, i: int, a: int):
 
 class EnvelopeHamiltonian(OpaqueJet):
     """H(q, p) = W(q, V(q, p), p) with gradient through the envelope
-    identities; usable as an opaque-jet leaf in expressions."""
+    identities; usable as an opaque-jet leaf in expressions.
+
+    Solved velocities are kept for the ``CACHE_SIZE`` most recently used
+    points, enough for the partials of one point to share its solve.
+    ``cache_stats`` counts hits, misses and evictions; ``last_report`` is the
+    ``SolveReport`` of the latest solve.
+    """
+
+    CACHE_SIZE = 64
 
     def __init__(self, L: Lagrangian, v0=None, tol=1e-10, maxiter=50, cond_limit=1e12):
         self.L = L
@@ -285,14 +281,25 @@ class EnvelopeHamiltonian(OpaqueJet):
         self.order = 1
         self._opts = dict(tol=tol, maxiter=maxiter, cond_limit=cond_limit)
         self._v0 = None if v0 is None else np.asarray(v0, dtype=float)
-        self._cache = {}
+        self._cache = OrderedDict()
+        self._partials = {}
+        self.cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
+        self.last_report = None
 
     def solve_velocity(self, pt) -> np.ndarray:
         key = tuple(pt[nm] for nm in self.chart.names)
-        if key not in self._cache:
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = legendre_solve(self.L, pt, self._v0, **self._opts)
+        stats = self.cache_stats
+        if key in self._cache:
+            self._cache.move_to_end(key)
+            stats["hits"] += 1
+        else:
+            stats["misses"] += 1
+            self._cache[key], self.last_report = legendre_solve(self.L, pt, self._v0, **self._opts)
+            if len(self._cache) > self.CACHE_SIZE:
+                self._cache.popitem(last=False)
+                stats["evictions"] += 1
+                log.debug("velocity cache at %d points: evicted the least recently used "
+                          "(%d evictions)", self.CACHE_SIZE, stats["evictions"])
         return self._cache[key]
 
     def value(self, pt) -> float:
@@ -300,23 +307,20 @@ class EnvelopeHamiltonian(OpaqueJet):
         return pairing(self.chart, pt, v) - self.L.value(pt, v)
 
     def partial(self, name) -> OpaqueJet:
-        chart = self.chart
-        if name not in chart.names:
-            raise KeyError(name)
-        idx = chart.index(name)
-        if chart.is_momentum(idx):
-            mc = next(m for m in chart.momenta if m.index == idx)
-
-            def val(pt, mc=mc):
-                z = _z_matrix(chart, self.solve_velocity(pt))
-                return sum(s * float(np.linalg.det(z[list(I), :]))
-                           for I, s in mc.presentations)
-        else:
-            def val(pt, name=name):
-                v = self.solve_velocity(pt)
-                env = self.L._env(pt, v)
-                return -float(self.L.dq_expr(name).evaluate(env))
-        return ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
+        """dH/d``name``, one jet per coordinate, so that the same partial
+        taken twice is the same expression atom."""
+        if name not in self._partials:
+            chart, idx = self.chart, self.chart.index(name)
+            if chart.is_momentum(idx):
+                def val(pt):
+                    t, v = _tables(chart), self.solve_velocity(pt)
+                    return float(_minor_sums(chart, v, "pairing", t.signs * (t.coords == idx))[0])
+            else:
+                def val(pt):
+                    env = self.L._env(pt, self.solve_velocity(pt))
+                    return -float(self.L.derivative(name).evaluate(env))
+            self._partials[name] = ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
+        return self._partials[name]
 
     def gradient(self, pt) -> dict:
         return {nm: self.partial(nm).value(pt) for nm in self.chart.names}
@@ -334,13 +338,8 @@ def hamiltonian_tensor(H: EnvelopeHamiltonian, pt, v=None) -> np.ndarray:
     minus the stress-energy tensor across the correspondence."""
     chart, L = H.chart, H.L
     v = H.solve_velocity(pt) if v is None else np.asarray(v, dtype=float)
-    z = _z_matrix(chart, v)
-    hval = pairing(chart, pt, v) - L.value(pt, v)
-    out = np.empty((chart.n, chart.n))
-    for a in range(1, chart.n + 1):
-        for b in range(1, chart.n + 1):
-            out[a - 1, b - 1] = (hval if a == b else 0.0) - _pairing_column_replaced(
-                chart, pt, z, {a: b - 1})
+    out = -_paired(chart, pt, v, "tensor").reshape(chart.n, chart.n)
+    out[np.diag_indices(chart.n)] += pairing(chart, pt, v) - L.value(pt, v)
     return out
 
 

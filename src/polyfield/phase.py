@@ -107,6 +107,7 @@ class Chart:
         self._omega_d = None
         self._theta_basis = None
         self._contract_cache = {}
+        self._minor_tables = None  # legendre's stacked-minor tables, built on first use
 
     # -- construction helpers ------------------------------------------------
 

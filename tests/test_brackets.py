@@ -5,7 +5,7 @@ import pytest
 
 from polyfield import expr as ex
 from polyfield.brackets import (
-    HamiltonianPair, NotBracketable, eta_slice, external_bracket,
+    BracketError, HamiltonianPair, SuperForm, NotBracketable, eta_slice, external_bracket,
     h_omega_bracket, internal_bracket, is_admissible, membership_residual,
     noether_sides, p_momentum, p_momentum_starred, pi_field, q_position,
     sbracket, scalar_of_super, super_scalar, superize, xi_general, xi_p,
@@ -348,6 +348,16 @@ def test_super_scalar_round_trip():
     sf = super_scalar(chart, 2.5)
     back = scalar_of_super(sf)
     assert float(back.evaluate(chart.point())) == pytest.approx(2.5)
+
+
+def test_scalar_of_super_rejects_disagreeing_blocks():
+    chart = weyl_chart(3, 1)
+    sf = super_scalar(chart, 2.5)
+    for S in sf.parts:
+        parts = dict(sf.parts)
+        parts[S] = parts[S].scale(7.0)
+        with pytest.raises(BracketError, match="ratios disagree"):
+            scalar_of_super(SuperForm(chart, parts))
 
 
 def test_sbracket_momentum_with_super_position():

@@ -50,6 +50,14 @@ def test_diff_square_and_sin():
     assert to_source(expr.sin(x).diff("x")) == "cos(x)"
 
 
+def test_non_finite_constants_print():
+    # the integer check in to_source must not call int() on inf or nan
+    assert repr(Const(float("inf"))) == "<expr inf>"
+    assert str(Const(float("-inf"))) == "(-inf)"
+    assert str(Const(float("nan"))) == "nan"
+    assert "inf" in to_source(Sym("x") * Const(float("inf")))
+
+
 def test_diff_weyl_kinetic_term():
     # d/dp1 of (eps + g11*p1^2/2) = g11*p1, the coefficient pattern of the
     # scalar-field evolution form

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from polyfield import expr as ex
 from polyfield.legendre import (
     ConstraintViolation, EnvelopeHamiltonian, Lagrangian, NoConvergence,
-    SingularHessian, generating_w, hamiltonian_from_legendre,
-    hamiltonian_tensor, legendre_solve, pairing, stress_energy, w_gradient,
-    weyl_legendre,
+    SingularHessian, SolveReport, generating_w, hamiltonian_from_legendre,
+    hamiltonian_tensor, legendre_solve, pairing, pairing_d2v, pairing_dv,
+    stress_energy, w_gradient, weyl_legendre,
 )
-from polyfield.phase import embed_point, full_chart, restrict_weyl, weyl_chart
+from polyfield.phase import embed_point, full_chart, maxwell_chart, restrict_weyl, weyl_chart
 
 from test_exterior import eval_on_vectors
 
@@ -99,7 +100,7 @@ def test_legendre_solve_quadratic_one_step():
     rng = np.random.default_rng(2)
     for _ in range(10):
         pt = chart.random_point(rng)
-        v = legendre_solve(L, pt)
+        v, _ = legendre_solve(L, pt)
         assert v[0, 0] == pytest.approx(pt["p1"], abs=1e-10)
         assert v[0, 1] == pytest.approx(-pt["p2"], abs=1e-10)
 
@@ -112,7 +113,7 @@ def test_legendre_solve_quartic_against_grid_search():
     for _ in range(5):
         p = float(rng.uniform(0.5, 7.9))
         pt = chart.point(p1=p)
-        v = legendre_solve(L, pt, v0=np.array([[1.0]]))
+        v, _ = legendre_solve(L, pt, v0=np.array([[1.0]]))
         # independent oracle: coarse search for the critical point of W
         scores = np.abs(p - grid ** 3)
         v_oracle = grid[int(np.argmin(scores))]
@@ -165,7 +166,7 @@ def test_weyl_then_solve_round_trip():
         mom = weyl_legendre(L, pt, v, w=float(rng.normal()))
         pt2 = dict(pt)
         pt2.update(mom)
-        back = legendre_solve(L, pt2)
+        back, _ = legendre_solve(L, pt2)
         assert np.max(np.abs(back - v)) <= 1e-9
 
 
@@ -309,3 +310,145 @@ def test_maxwell_weyl_legendre_respects_constraint():
     bad = Lagrangian.parse(chart, "v2_1^2/2")
     with pytest.raises(ConstraintViolation):
         weyl_legendre(bad, pt, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# -- the stacked-minor kernel against the scalar det loops it replaced --------
+
+def _ref_z(chart, v):
+    z = np.zeros((chart.n + chart.k, chart.n))
+    z[:chart.n, :] = np.eye(chart.n)
+    z[chart.n:, :] = v
+    return z
+
+
+def _ref_pairing_z(chart, pt, z):
+    total = 0.0
+    for I, coord, sign in chart.canonical_momenta():
+        pc = pt[chart.names[coord]]
+        if pc == 0.0:
+            continue
+        total += sign * pc * float(np.linalg.det(z[list(I), :]))
+    return total
+
+
+def _ref_replaced(chart, pt, z, replacements):
+    zz = z.copy()
+    for a, pos in replacements.items():
+        zz[:, a - 1] = 0.0
+        zz[pos, a - 1] = 1.0
+    return _ref_pairing_z(chart, pt, zz)
+
+
+def _ref_all(chart, pt, v):
+    """pairing, dv, d2v and the replaced part of the Hamiltonian tensor, one
+    scalar det per minor."""
+    k, n = chart.k, chart.n
+    z = _ref_z(chart, v)
+    dv = np.array([[_ref_replaced(chart, pt, z, {a: n + i - 1}) for a in range(1, n + 1)]
+                   for i in range(1, k + 1)])
+    d2v = np.zeros((k * n, k * n))
+    for i in range(1, k + 1):
+        for a in range(1, n + 1):
+            for j in range(1, k + 1):
+                for b in range(1, n + 1):
+                    if a != b:
+                        d2v[(i - 1) * n + a - 1, (j - 1) * n + b - 1] = _ref_replaced(
+                            chart, pt, z, {a: n + i - 1, b: n + j - 1})
+    tensor = np.array([[_ref_replaced(chart, pt, z, {a: b - 1}) for b in range(1, n + 1)]
+                       for a in range(1, n + 1)])
+    return _ref_pairing_z(chart, pt, z), dv, d2v, tensor
+
+
+def _ref_dh_dp(chart, mc, v):
+    z = _ref_z(chart, v)
+    return sum(s * float(np.linalg.det(z[list(I), :])) for I, s in mc.presentations)
+
+
+def kinetic_lagrangian(chart):
+    """sum over fibers of v1^2/2 - v2^2/2 - ... - y1^2/2: nonsingular
+    velocity Hessian where the multi-fiber momenta are small."""
+    terms = []
+    for i in range(1, chart.k + 1):
+        for a in range(1, chart.n + 1):
+            nm = f"v{a}" if chart.k == 1 else f"v{a}_{i}"
+            terms.append(f"{'+' if a == 1 else '-'} {nm}^2/2")
+    return Lagrangian.parse(chart, "0 " + " ".join(terms) + f" - {chart.fiber_names[0]}^2/2")
+
+
+def kernel_point(chart, rng, multi=0.2):
+    pt = chart.random_point(rng)
+    for mc in chart.momenta:
+        if mc.fiber_count >= 2:
+            pt[mc.name] *= multi
+    return pt
+
+
+@pytest.mark.parametrize("chart", [full_chart(3, 2), full_chart(2, 3), weyl_chart(3, 2),
+                                   maxwell_chart(3), full_chart(1, 2)], ids=repr)
+def test_kernel_matches_scalar_det_loops(chart):
+    rng = np.random.default_rng(21)
+    H = EnvelopeHamiltonian(kinetic_lagrangian(chart))
+    worst = 0.0
+    for _ in range(20):
+        pt = kernel_point(chart, rng, multi=1.0)
+        v = rng.uniform(-2.0, 2.0, size=(chart.k, chart.n))
+        got = (pairing(chart, pt, v), pairing_dv(chart, pt, v), pairing_d2v(chart, pt, v),
+               np.eye(chart.n) * (pairing(chart, pt, v) - H.L.value(pt, v))
+               - hamiltonian_tensor(H, pt, v))
+        for g, r in zip(got, _ref_all(chart, pt, v)):
+            worst = max(worst, float(np.max(np.abs(np.asarray(g) - r) / np.maximum(1.0, np.abs(r)))))
+        pt = kernel_point(chart, rng)
+        vs = H.solve_velocity(pt)
+        for mc in chart.momenta:
+            r = _ref_dh_dp(chart, mc, vs)
+            worst = max(worst, abs(H.partial(mc.name).value(pt) - r) / max(1.0, abs(r)))
+    assert worst <= 1e-14
+
+
+# -- envelope Hamiltonian: memoised partials, bounded cache, reports ----------
+
+def test_envelope_partial_is_one_atom_per_coordinate():
+    chart = weyl_chart(2, 1)
+    H = hamiltonian_from_legendre(kg_lagrangian(chart)).as_expression()
+    assert (H.diff("p1") - H.diff("p1")).is_zero()
+    assert not (H.diff("p1") - H.diff("p2")).is_zero()
+
+
+def test_envelope_cache_is_bounded_and_counts(caplog):
+    chart = weyl_chart(2, 1)
+    H = hamiltonian_from_legendre(kg_lagrangian(chart))
+    rng = np.random.default_rng(22)
+    points = [chart.random_point(rng) for _ in range(H.CACHE_SIZE + 36)]
+    with caplog.at_level(logging.DEBUG, logger="polyfield.legendre"):
+        for pt in points:
+            H.value(pt)
+            H.partial("p1").value(pt)
+            assert len(H._cache) <= H.CACHE_SIZE
+    stats = dict(H.cache_stats)
+    assert stats == {"hits": len(points), "misses": len(points), "evictions": 36}
+    evicted = [r for r in caplog.records if "evicted" in r.getMessage()]
+    assert len(evicted) == 36
+    # least recently used first: points[36] is the oldest held point; used
+    # again, it outlives points[37] when a new point comes in
+    H.value(points[36])
+    H.value(chart.random_point(rng))
+    H.value(points[36])
+    assert H.cache_stats["hits"] == stats["hits"] + 2
+    H.value(points[37])
+    assert H.cache_stats["misses"] == stats["misses"] + 2
+
+
+def test_legendre_solve_reports_newton_steps(caplog):
+    chart = weyl_chart(1, 1)
+    L = Lagrangian.parse(chart, "v1^4/4")
+    pt = chart.point(p1=2.0)
+    with caplog.at_level(logging.DEBUG, logger="polyfield.legendre"):
+        v, rep = legendre_solve(L, pt, v0=np.array([[1.0]]))
+    assert isinstance(rep, SolveReport)
+    assert rep.iterations > 1 and rep.residual <= 1e-10
+    assert rep.condition == 1.0  # any nonsingular 1 x 1 Hessian
+    assert f"after {rep.iterations} Newton steps" in caplog.text
+    # the quadratic case takes one step
+    H = hamiltonian_from_legendre(kg_lagrangian(weyl_chart(2, 1)))
+    H.solve_velocity(weyl_chart(2, 1).point(p1=0.3))
+    assert H.last_report.iterations == 1
