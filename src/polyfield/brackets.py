@@ -25,12 +25,13 @@ base multivectors (the route the dynamics uses).
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
-from . import expr as ex
 from .expr import Expression, as_expr
-from .exterior import Form, Multivector, VectorField, contract, exterior_derivative, \
-    lie_derivative, merge_indices, wedge_vectors
+from .exterior import Form, VectorField, contract, exterior_derivative, lie_derivative, \
+    merge_indices, wedge_vectors
 
 __all__ = [
     "BracketError", "NotBracketable", "HamiltonianPair",
@@ -40,6 +41,8 @@ __all__ = [
     "is_admissible", "h_omega_bracket", "noether_sides",
     "q_position", "p_momentum", "p_momentum_starred", "eta_slice",
 ]
+
+log = logging.getLogger("polyfield.brackets")
 
 
 class BracketError(Exception):
@@ -62,9 +65,6 @@ class HamiltonianPair:
         """da + Xi . Omega; identically zero for a valid pair."""
         return exterior_derivative(self.form) + contract(
             self.xi, self.chart.multisymplectic_form())
-
-    def residual_at(self, env) -> float:
-        return self.defining_residual().max_abs_at(env)
 
     def verify(self, points, tol=1e-9) -> float:
         res = self.defining_residual()
@@ -157,10 +157,6 @@ class PointwiseXi:
         comps, res, _ = _lstsq_xi(self.chart, self._da, env)
         return comps, res
 
-    def field_at(self, env) -> VectorField:
-        comps, _ = self.solve_at(env)
-        return VectorField(self.chart, {i: ex.Const(v) for i, v in comps.items()})
-
 
 def _lstsq_xi(chart, da: Form, env):
     columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
@@ -179,31 +175,36 @@ def _lstsq_xi(chart, da: Form, env):
     return comps, residual, rank
 
 
+def _lstsq_worst(a: Form, points):
+    """(worst residual, largest rank deficiency) of the pointwise solves of
+    da = -xi . Omega."""
+    da = exterior_derivative(a)
+    worst, deficiency = 0.0, 0
+    for env in points:
+        _, res, rank = _lstsq_xi(a.chart, da, env)
+        worst = max(worst, res)
+        deficiency = max(deficiency, a.chart.dim - rank)
+    return worst, deficiency
+
+
 def membership_residual(a: Form, points) -> float:
     """Worst least-squares residual of da = -xi . Omega over the points."""
-    da = exterior_derivative(a)
-    worst = 0.0
-    for env in points:
-        _, res, _ = _lstsq_xi(a.chart, da, env)
-        worst = max(worst, res)
-    return worst
+    return _lstsq_worst(a, points)[0]
 
 
 def xi_general(a: Form, points, tol=1e-9) -> PointwiseXi:
     """Pointwise solve of the defining relation; accepts the form when the
     residual stays below ``tol`` at every probe point, else raises
     NotBracketable.  Rank deficiency of the solve is reported on the result
-    rather than assumed away."""
-    da = exterior_derivative(a)
-    worst = 0.0
-    deficient = False
-    for env in points:
-        _, res, rank = _lstsq_xi(a.chart, da, env)
-        worst = max(worst, res)
-        deficient = deficient or rank < a.chart.dim
+    rather than assumed away.  The decision is logged at debug level on
+    ``polyfield.brackets``."""
+    worst, deficiency = _lstsq_worst(a, points)
+    log.debug("xi_general %s: worst residual %.3e against tol %g, rank deficiency %d "
+              "over %d points", "rejected" if worst > tol else "accepted", worst, tol,
+              deficiency, len(points))
     if worst > tol:
         raise NotBracketable(f"membership residual {worst:.3e} exceeds {tol:g}")
-    return PointwiseXi(a, worst, deficient)
+    return PointwiseXi(a, worst, deficiency > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +229,6 @@ def external_bracket(a: Form, b: HamiltonianPair) -> Form:
 
 # ---------------------------------------------------------------------------
 # Grassmann layer
-
-def _tau_merge(S, T):
-    return merge_indices(tuple(S), tuple(T))
-
 
 class SuperForm:
     """Sum of tau-monomial-weighted forms; ``parts`` maps sorted tuples of
@@ -269,7 +266,7 @@ class SuperForm:
         out = {}
         for T, form in self.parts.items():
             for a, c in scalar.items():
-                m = _tau_merge(T, (a,))
+                m = merge_indices(T, (a,))
                 if m is None:
                     continue
                 key, sign = m
@@ -378,7 +375,7 @@ def sbracket(A: SuperForm, B: SuperForm) -> Form | SuperForm:
         for T, xb in B.xi.items():
             if not xb.components:
                 continue
-            m = _tau_merge(S, T)
+            m = merge_indices(S, T)
             if m is None:
                 continue
             key, sign = m
@@ -419,15 +416,12 @@ def h_omega_bracket(hamiltonian, a, xi_solver=None, points=None, tol=1e-10) -> F
     tau weights drop out and the bracket is the signed sum over leading
     base multivectors wedged with the component vector fields.
     """
-    if isinstance(a, HamiltonianPair):
-        chart = a.chart
-        psi = chart.volume_form().scale(as_expr(hamiltonian))
-        return -contract(a.xi, exterior_derivative(psi))
     chart = a.chart
     psi = chart.volume_form().scale(as_expr(hamiltonian))
-    if a.degree == chart.n - 1:
-        pair = xi_q(a) if xi_solver is None else HamiltonianPair(a, xi_solver((), a))
-        return -contract(pair.xi, exterior_derivative(psi))
+    if isinstance(a, Form) and a.degree == chart.n - 1:
+        a = xi_q(a) if xi_solver is None else HamiltonianPair(a, xi_solver((), a))
+    if isinstance(a, HamiltonianPair):
+        return external_bracket(psi, a)
     sf = superize(a, xi_solver=xi_solver)
     if points is not None and not is_admissible(sf, points, tol):
         raise NotBracketable("form is not admissible")
@@ -457,7 +451,7 @@ def noether_sides(hamiltonian, xi_config: VectorField):
     h = as_expr(hamiltonian)
     pair = xi_p(xi_config)
     psi = chart.volume_form().scale(h)
-    lhs = -contract(pair.xi, exterior_derivative(psi))
+    lhs = external_bracket(psi, pair)
     rhs = lie_derivative(pair.xi, chart.theta() - psi) + exterior_derivative(
         contract(xi_config, psi))
     return lhs, rhs

@@ -257,27 +257,7 @@ class Add(_Binary):
         return (ra + rb) % _P
 
     def _normal(self):
-        return _poly_add(self.a._poly(), self.b._poly(), 1)
-
-
-class Sub(_Binary):
-    __slots__ = ()
-
-    def evaluate(self, env):
-        return self.a.evaluate(env) - self.b.evaluate(env)
-
-    def diff(self, name):
-        return sub(self.a.diff(name), self.b.diff(name))
-
-    def substitute(self, mapping):
-        return sub(self.a.substitute(mapping), self.b.substitute(mapping))
-
-    @staticmethod
-    def _combine(ra, rb):
-        return (ra - rb) % _P
-
-    def _normal(self):
-        return _poly_add(self.a._poly(), self.b._poly(), -1)
+        return _poly_add(self.a._poly(), self.b._poly())
 
 
 class Mul(_Binary):
@@ -490,13 +470,13 @@ def _atom_poly(atom):
     return {frozenset(((atom, 1),)): 1}
 
 
-def _poly_add(p, q, sign):
+def _poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
         if m not in out:
-            out[m] = c if sign > 0 else -c
+            out[m] = c
             continue
-        s = out[m] + c if sign > 0 else out[m] - c
+        s = out[m] + c
         if s:
             out[m] = s
         else:
@@ -565,11 +545,12 @@ ONE = Const(1.0)
 
 
 # ---------------------------------------------------------------------------
-# folding constructors: constant folding, 0/1 elimination, and a sum or
-# difference that cancels exactly collapses to ZERO.  Products of non-zero
-# factors never cancel, so a tree built through these helpers is either a
-# Const or not zero, and the operand checks only need to look for a zero
-# Const; the result of add and sub is checked with is_zero.
+# folding constructors: constant folding, 0/1 elimination, and a sum that
+# cancels exactly collapses to ZERO (a difference is a sum with a negated
+# operand).  Products of non-zero factors never cancel, so a tree built
+# through these helpers is either a Const or not zero, and the operand
+# checks only need to look for a zero Const; the result of add is checked
+# with is_zero.
 
 def _zero_const(e):
     return isinstance(e, Const) and e.value == 0.0
@@ -582,21 +563,12 @@ def add(a, b):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    return _unless_zero(Add(a, b))
+    node = Add(a, b)
+    return ZERO if node.is_zero() else node
 
 
 def sub(a, b):
-    if _zero_const(b):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _zero_const(a):
-        return neg(b)
-    return _unless_zero(Sub(a, b))
-
-
-def _unless_zero(node):
-    return ZERO if node.is_zero() else node
+    return add(a, neg(b))
 
 
 def mul(a, b):
@@ -630,8 +602,8 @@ def div(a, b):
 
 
 def pow_int(base, k):
-    """base^k; a negative power of a base that expands to zero raises
-    EvalDomainError."""
+    """base^k; a negative power of a base that expands to zero, or a
+    constant power that overflows, raises EvalDomainError."""
     k = int(k)
     if k == 0:
         return ONE
@@ -640,7 +612,10 @@ def pow_int(base, k):
     if k < 0 and base.is_zero():
         raise EvalDomainError(f"zero base with negative power: {to_source(base)}")
     if isinstance(base, Const):
-        return Const(base.value ** k)
+        try:
+            return Const(base.value ** k)
+        except OverflowError:
+            raise EvalDomainError(f"{to_source(base)}^{k} overflows") from None
     return Pow(base, k)
 
 
@@ -766,13 +741,16 @@ def to_source(e) -> str:
     if isinstance(e, Neg):
         return f"-({to_source(e.a)})"
     if isinstance(e, Add):
-        return f"{to_source(e.a)} + {_wrap(e.b, (Add, Sub))}"
-    if isinstance(e, Sub):
-        return f"{to_source(e.a)} - {_wrap(e.b, (Add, Sub))}"
+        # a difference is a sum with a negated or negative right operand
+        if isinstance(e.b, Neg):
+            return f"{to_source(e.a)} - {_wrap(e.b.a, (Add,))}"
+        if isinstance(e.b, Const) and e.b.value < 0:
+            return f"{to_source(e.a)} - {to_source(Const(-e.b.value))}"
+        return f"{to_source(e.a)} + {_wrap(e.b, (Add,))}"
     if isinstance(e, Mul):
-        return f"{_wrap(e.a, (Add, Sub, Neg))}*{_wrap(e.b, (Add, Sub, Neg, Mul, Div))}"
+        return f"{_wrap(e.a, (Add, Neg))}*{_wrap(e.b, (Add, Neg, Mul, Div))}"
     if isinstance(e, Div):
-        return f"{_wrap(e.a, (Add, Sub, Neg))}/{_wrap(e.b, (Add, Sub, Neg, Mul, Div))}"
+        return f"{_wrap(e.a, (Add, Neg))}/{_wrap(e.b, (Add, Neg, Mul, Div))}"
     if isinstance(e, Pow):
         base = to_source(e.base) if isinstance(e.base, _ATOMS) else f"({to_source(e.base)})"
         if e.k < 0:

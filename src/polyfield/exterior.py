@@ -181,9 +181,6 @@ class _Graded:
         for k in sorted(self.coeffs):
             yield k, self.coeffs[k]
 
-    def map_coeffs(self, fn):
-        return self._new(self.degree, {k: fn(v) for k, v in self.coeffs.items()})
-
     def __repr__(self):
         names = self.chart.names
         rows = ", ".join(

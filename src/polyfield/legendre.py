@@ -34,13 +34,13 @@ from collections import OrderedDict, namedtuple
 import numpy as np
 
 from . import expr as ex
-from .expr import EvalDomainError, Expression, OpaqueJet, as_expr
+from .expr import Expression, OpaqueJet, as_expr
 
 __all__ = [
     "Lagrangian", "LegendreError", "SingularHessian", "NoConvergence",
     "ConstraintViolation", "velocity_name", "pairing", "generating_w",
     "legendre_solve", "SolveReport", "weyl_legendre", "EnvelopeHamiltonian",
-    "hamiltonian_from_legendre", "hamiltonian_tensor", "stress_energy",
+    "hamiltonian_tensor", "stress_energy",
 ]
 
 log = logging.getLogger("polyfield.legendre")
@@ -183,7 +183,7 @@ def pairing_d2v(chart, pt, v) -> np.ndarray:
     return out.reshape(kn, kn)
 
 
-def generating_w(L: Lagrangian, pt, v, w_offset=None) -> float:
+def generating_w(L: Lagrangian, pt, v) -> float:
     """W(q, v, p) = <p, v> - L(q, v); the correspondence holds at critical
     points of W in v, where W itself equals the free parameter w."""
     return pairing(L.chart, pt, v) - L.value(pt, v)
@@ -327,10 +327,6 @@ class EnvelopeHamiltonian(OpaqueJet):
 
     def as_expression(self) -> Expression:
         return ex.opaque(self)
-
-
-def hamiltonian_from_legendre(L: Lagrangian, v0=None, **opts) -> EnvelopeHamiltonian:
-    return EnvelopeHamiltonian(L, v0, **opts)
 
 
 def hamiltonian_tensor(H: EnvelopeHamiltonian, pt, v=None) -> np.ndarray:

@@ -55,10 +55,6 @@ class MomentumCoord:
     presentations: tuple
 
     @property
-    def primary(self):
-        return self.presentations[0]
-
-    @property
     def fiber_count(self):
         return len(self.theta_terms[0][0])
 
@@ -147,10 +143,6 @@ class Chart:
     def is_momentum(self, i: int) -> bool:
         return i >= self.n + self.k
 
-    @property
-    def eps_index(self) -> int:
-        return self.momenta[0].index
-
     def momentum(self, name: str) -> MomentumCoord:
         for mc in self.momenta:
             if mc.name == name:
@@ -214,16 +206,13 @@ class Chart:
         return out
 
     def theta(self) -> Form:
-        """Canonical n-form: eps * omega plus signed momentum blocks."""
+        """Canonical n-form: the sum of c * Theta_c over the momentum
+        coordinates c (see ``theta_basis``)."""
         if self._theta is None:
-            total = self.volume_form().scale(Sym(self.momenta[0].name))
-            for mc in self.momenta[1:]:
-                block = None
-                for fiber, base, sign in mc.theta_terms:
-                    w = self.wedge_block(fiber, base)
-                    w = w if sign > 0 else -w
-                    block = w if block is None else block + w
-                total = total + block.scale(Sym(mc.name))
+            total = None
+            for idx, block, _, _ in self.theta_basis():
+                term = block.scale(Sym(self.names[idx]))
+                total = term if total is None else total + term
             self._theta = total
         return self._theta
 
@@ -244,13 +233,10 @@ class Chart:
             key_owner = {}
             for mc in self.momenta:
                 block = None
-                if mc.fiber_count == 0:
-                    block = self.volume_form()
-                else:
-                    for fiber, base, sign in mc.theta_terms:
-                        w = self.wedge_block(fiber, base)
-                        w = w if sign > 0 else -w
-                        block = w if block is None else block + w
+                for fiber, base, sign in mc.theta_terms:
+                    w = self.wedge_block(fiber, base)
+                    w = w if sign > 0 else -w
+                    block = w if block is None else block + w
                 for key in block.coeffs:
                     key_owner.setdefault(key, []).append(mc.index)
                 rows.append((mc.index, block))

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ def test_xi_general_least_squares_membership():
     assert membership_residual(bad, pts) > 1e-3
     with pytest.raises(NotBracketable):
         xi_general(bad, pts)
+
+
+def test_xi_general_logs_its_decision(caplog):
+    chart = weyl_chart(2, 1)
+    rng = np.random.default_rng(1)
+    pts = probes(chart, rng, 10)
+    good = q_position(chart, 1, [chart.parse("x1"), chart.parse("x2^2")])
+    bad = chart.d_coord("y").scale(chart.sym("eps"))
+    with caplog.at_level(logging.DEBUG, logger="polyfield.brackets"):
+        solved = xi_general(good, pts, tol=1e-9)
+        with pytest.raises(NotBracketable):
+            xi_general(bad, pts, tol=1e-9)
+    accepted, rejected = [r.getMessage() for r in caplog.records if r.name == "polyfield.brackets"]
+    assert accepted == (f"xi_general accepted: worst residual {solved.residual:.3e} against "
+                        f"tol 1e-09, rank deficiency 0 over 10 points")
+    assert rejected == (f"xi_general rejected: worst residual {membership_residual(bad, pts):.3e} "
+                        f"against tol 1e-09, rank deficiency 0 over 10 points")
 
 
 def test_xi_general_matches_closed_form_pointwise():
@@ -498,15 +516,26 @@ def test_h_bracket_of_fiber_one_form_gives_double_momentum_gradient(n):
     assert forms_equal(br, want, pts, 1e-9)
 
 
-def test_h_bracket_matches_differential_bracket_for_top_degree():
-    # for (n-1)-forms the psi-bracket is -Xi(a) . d(H omega)
+@pytest.mark.parametrize("given", ["pair", "momentum form", "configuration form"])
+def test_h_bracket_matches_differential_bracket_for_top_degree(given):
+    # for (n-1)-forms the psi-bracket is -Xi(a) . d(H omega), whether a comes
+    # as a ready pair or as a bare form whose field is solved on the way
     chart = weyl_chart(2, 1)
     rng = np.random.default_rng(28)
     pts = probes(chart, rng)
     H = chart.parse("eps + p1^2/2 - p2^2/2 + y^4/4")
-    pair = xi_p(VectorField(chart, {chart.index("y"): chart.parse("x2")}))
-    br = h_omega_bracket(H, pair)
+    if given == "configuration form":
+        a = q_position(chart, 1, [chart.parse("x2"), chart.parse("x1^2")])
+        pair = xi_q(a)
+        br = h_omega_bracket(H, a)
+    else:
+        pair = xi_p(VectorField(chart, {chart.index("y"): chart.parse("x2")}))
+        if given == "pair":
+            br = h_omega_bracket(H, pair)
+        else:
+            br = h_omega_bracket(H, pair.form, xi_solver=lambda S, b: pair.xi)
     want = -contract(pair.xi, exterior_derivative(chart.volume_form().scale(H)))
+    assert not want.is_zero()
     assert forms_equal(br, want, pts, 1e-12)
 
 

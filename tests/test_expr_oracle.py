@@ -137,8 +137,7 @@ def to_sympy(e):
         return to_sympy(e.base) ** e.k
     if isinstance(e, ex.Call):
         return getattr(sympy, e.fn)(to_sympy(e.a))
-    ops = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
-           ex.Div: operator.truediv}
+    ops = {ex.Add: operator.add, ex.Mul: operator.mul, ex.Div: operator.truediv}
     return ops[type(e)](to_sympy(e.a), to_sympy(e.b))
 
 
@@ -155,7 +154,8 @@ def oracle_is_zero(e):
 def test_is_zero_never_true_for_a_nonzero_tree(a, b, position, leaf):
     A, B, M = buildable(a), buildable(b), buildable(mirror(a))
     near = buildable(replace_leaf(mirror(a), position % leaf_count(a), leaf))
-    for e in (ex.Sub(A, B), ex.Sub(A, M), ex.Sub(A, near), A - near, A * B - B * A):
+    for e in (ex.Add(A, ex.Neg(B)), ex.Add(A, ex.Neg(M)), ex.Add(A, ex.Neg(near)), A - near,
+              A * B - B * A):
         if e.is_zero() or not e._poly():
             assert oracle_is_zero(e), ex.to_source(e)
 
@@ -164,7 +164,7 @@ def test_is_zero_never_true_for_a_nonzero_tree(a, b, position, leaf):
 @given(SPECS)
 def test_rearranged_tree_cancels(a):
     A, M = buildable(a), buildable(mirror(a))
-    e = ex.Sub(A, M)
+    e = ex.Add(A, ex.Neg(M))
     assert not e._poly()
     assert e._res in (0, -1)  # a zero normal form never has a non-zero residue
     assert e.is_zero()
@@ -174,6 +174,6 @@ def test_rearranged_tree_cancels(a):
 @SEARCH
 @given(POLY_SPECS, POLY_SPECS)
 def test_polynomial_zero_decision_is_complete(a, b):
-    e = ex.Sub(buildable(a), buildable(b))
+    e = ex.Add(buildable(a), ex.Neg(buildable(b)))
     zero = sympy.expand(to_sympy(e)) == 0
     assert e.is_zero() == zero == (not e._poly()), ex.to_source(e)

@@ -7,9 +7,8 @@ import pytest
 from polyfield import expr as ex
 from polyfield.legendre import (
     ConstraintViolation, EnvelopeHamiltonian, Lagrangian, NoConvergence,
-    SingularHessian, SolveReport, generating_w, hamiltonian_from_legendre,
-    hamiltonian_tensor, legendre_solve, pairing, pairing_d2v, pairing_dv,
-    stress_energy, w_gradient, weyl_legendre,
+    SingularHessian, SolveReport, generating_w, hamiltonian_tensor, legendre_solve,
+    pairing, pairing_d2v, pairing_dv, stress_energy, w_gradient, weyl_legendre,
 )
 from polyfield.phase import embed_point, full_chart, maxwell_chart, restrict_weyl, weyl_chart
 
@@ -183,14 +182,14 @@ def test_weyl_legendre_h_zero_gauge():
     # and then H(q, p) = w = 0 at the corresponding momenta
     pt2 = dict(pt)
     pt2.update(out)
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     assert H.value(pt2) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_envelope_hamiltonian_matches_closed_form_scalar_field():
     chart = weyl_chart(2, 1)
     L = kg_lagrangian(chart, mass=1.3)
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     closed = chart.parse("eps + p1^2/2 - p2^2/2 + 1.3^2*y^2/2")
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -201,7 +200,7 @@ def test_envelope_hamiltonian_matches_closed_form_scalar_field():
 def test_envelope_gradient_against_finite_differences():
     chart = weyl_chart(2, 1)
     L = Lagrangian.parse(chart, "v1^2/2 - v2^2/2 + y*v1/3 - sin(y)")
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     rng = np.random.default_rng(10)
     h = 1e-5
     for _ in range(20):
@@ -218,7 +217,7 @@ def test_envelope_gradient_against_finite_differences():
 def test_envelope_dh_deps_is_one():
     chart = weyl_chart(2, 2)
     L = Lagrangian.parse(chart, "v1_1^2/2 + v2_2^2/2 + v1_2^2/2 + v2_1^2/2 - y1^4/4")
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     rng = np.random.default_rng(11)
     for _ in range(10):
         pt = chart.random_point(rng)
@@ -228,7 +227,7 @@ def test_envelope_dh_deps_is_one():
 def test_hamiltonian_tensor_n1_is_energy():
     chart = weyl_chart(1, 1)
     L = Lagrangian.parse(chart, "v1^2/2 - y^2/2")
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     rng = np.random.default_rng(12)
     for _ in range(10):
         pt = chart.random_point(rng)
@@ -241,7 +240,7 @@ def test_hamiltonian_tensor_n1_is_energy():
 def test_hamiltonian_tensor_zero_momenta_pure_potential():
     chart = weyl_chart(2, 1)
     L = Lagrangian.parse(chart, "v1^2/2 - v2^2/2 - y^2/2")
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     pt = chart.point(y=0.8)
     T = hamiltonian_tensor(H, pt)
     want = np.eye(2) * (0.8 ** 2 / 2)
@@ -251,7 +250,7 @@ def test_hamiltonian_tensor_zero_momenta_pure_potential():
 def test_hamiltonian_tensor_equals_minus_stress_energy():
     chart = weyl_chart(2, 1)
     L = kg_lagrangian(chart, mass=0.9)
-    H = hamiltonian_from_legendre(L)
+    H = EnvelopeHamiltonian(L)
     rng = np.random.default_rng(13)
     for _ in range(20):
         du = rng.normal(size=(1, 2))
@@ -409,14 +408,14 @@ def test_kernel_matches_scalar_det_loops(chart):
 
 def test_envelope_partial_is_one_atom_per_coordinate():
     chart = weyl_chart(2, 1)
-    H = hamiltonian_from_legendre(kg_lagrangian(chart)).as_expression()
+    H = EnvelopeHamiltonian(kg_lagrangian(chart)).as_expression()
     assert (H.diff("p1") - H.diff("p1")).is_zero()
     assert not (H.diff("p1") - H.diff("p2")).is_zero()
 
 
 def test_envelope_cache_is_bounded_and_counts(caplog):
     chart = weyl_chart(2, 1)
-    H = hamiltonian_from_legendre(kg_lagrangian(chart))
+    H = EnvelopeHamiltonian(kg_lagrangian(chart))
     rng = np.random.default_rng(22)
     points = [chart.random_point(rng) for _ in range(H.CACHE_SIZE + 36)]
     with caplog.at_level(logging.DEBUG, logger="polyfield.legendre"):
@@ -449,6 +448,6 @@ def test_legendre_solve_reports_newton_steps(caplog):
     assert rep.condition == 1.0  # any nonsingular 1 x 1 Hessian
     assert f"after {rep.iterations} Newton steps" in caplog.text
     # the quadratic case takes one step
-    H = hamiltonian_from_legendre(kg_lagrangian(weyl_chart(2, 1)))
+    H = EnvelopeHamiltonian(kg_lagrangian(weyl_chart(2, 1)))
     H.solve_velocity(weyl_chart(2, 1).point(p1=0.3))
     assert H.last_report.iterations == 1
