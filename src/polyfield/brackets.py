@@ -1,12 +1,13 @@
 """Graded Poisson brackets on forms over a momentum chart.
 
 An (n-1)-form a is bracketable when some vector field Xi(a) satisfies
-da = -Xi(a) . Omega with Omega the chart's closed (n+1)-form.  For forms
-whose differential stays inside the span of the canonical-form blocks
-(position-type observables, contractions of the canonical form with
-configuration vector fields) Xi comes out in closed form from a triangular
-solve against that basis; for everything else a pointwise least-squares
-solve decides membership numerically.
+da = -Xi(a) . Omega with Omega the chart's closed (n+1)-form: one linear
+system whose column c is d/dc . Omega.  Its momentum columns are the
+canonical-form blocks, each with a primary index key of its own, so when
+da stays in their span the system is triangular and Xi comes out in closed
+form (``theta_basis_solve``).  Otherwise the system is evaluated point by
+point: ``xi_general`` takes its least squares, ``HamiltonianPair.verify``
+its residual at a given field.
 
 Brackets:
 
@@ -36,7 +37,7 @@ from .exterior import Form, VectorField, contract, exterior_derivative, lie_deri
 __all__ = [
     "BracketError", "NotBracketable", "HamiltonianPair",
     "theta_basis_solve", "xi_q", "xi_p", "pi_field", "xi_general",
-    "membership_residual", "internal_bracket", "external_bracket",
+    "internal_bracket", "external_bracket",
     "SuperForm", "superize", "sbracket", "super_scalar", "scalar_of_super",
     "is_admissible", "h_omega_bracket", "noether_sides",
     "q_position", "p_momentum", "p_momentum_starred", "eta_slice",
@@ -50,7 +51,16 @@ class BracketError(Exception):
 
 
 class NotBracketable(BracketError):
-    """The form admits no Hamiltonian vector field on this chart."""
+    """The form admits no Hamiltonian vector field on this chart.
+
+    ``residual``: the worst max |da + Xi . Omega| over the points checked
+    (None from the exact solve); ``stray``: the index blocks outside the
+    canonical-form span (from ``theta_basis_solve``)."""
+
+    def __init__(self, message, residual=None, stray=()):
+        super().__init__(message)
+        self.residual = residual
+        self.stray = tuple(stray)
 
 
 class HamiltonianPair:
@@ -61,16 +71,18 @@ class HamiltonianPair:
         self.xi = xi
         self.chart = form.chart
 
-    def defining_residual(self) -> Form:
-        """da + Xi . Omega; identically zero for a valid pair."""
-        return exterior_derivative(self.form) + contract(
-            self.xi, self.chart.multisymplectic_form())
-
     def verify(self, points, tol=1e-9) -> float:
-        res = self.defining_residual()
-        worst = max((res.max_abs_at(pt) for pt in points), default=0.0)
+        """Worst max |da + Xi . Omega| over the points, from the defining
+        system at each point; raises NotBracketable above ``tol``."""
+        da = exterior_derivative(self.form)
+        worst = 0.0
+        for env in points:
+            A, b = _defining_system(self.chart, da, env)
+            at = self.xi.at(env)
+            xi = np.array([at.get(i, 0.0) for i in range(self.chart.dim)])
+            worst = max(worst, _max_abs(A @ xi + b))
         if worst > tol:
-            raise NotBracketable(f"defining residual {worst:.3e} exceeds {tol:g}")
+            raise NotBracketable(f"defining residual {worst:.3e} exceeds {tol:g}", residual=worst)
         return worst
 
 
@@ -81,11 +93,12 @@ def theta_basis_solve(chart, rhs: Form) -> VectorField:
     """Solve sum_c xi_c * Theta_c = rhs for a momentum-directed vector field,
     where Theta_c is the derivative of the canonical n-form by momentum c.
 
-    Works on any chart kind; raises NotBracketable when rhs carries an index
-    block outside the basis span.  The check is exact and symbolic: a
-    coefficient is absent when ``Expression.is_zero`` holds for it, and that
-    decision never drops a non-zero coefficient, so any stray block that
-    remains is a genuine obstruction.
+    The defining system on the momentum columns, solved exactly: xi_c is
+    the coefficient of rhs at Theta_c's primary key over Theta_c's own.
+    Raises NotBracketable, naming them in ``stray``, when rhs carries index
+    blocks outside the basis span.  The check is exact: a coefficient is
+    absent when ``Expression.is_zero`` holds for it, which never drops a
+    non-zero one, so a stray block is a genuine obstruction.
     """
     if rhs.degree != chart.n:
         raise ValueError("theta-basis solve expects an n-form")
@@ -96,7 +109,8 @@ def theta_basis_solve(chart, rhs: Form) -> VectorField:
     stray = [key for key in rhs.coeffs if key not in covered]
     if stray:
         names = ["^".join(chart.names[i] for i in key) for key in stray]
-        raise NotBracketable(f"components outside the canonical-form span: {names}")
+        raise NotBracketable(f"components outside the canonical-form span: {names}",
+                             stray=names)
     comps = {}
     for idx, _, primary, lam in basis:
         c = rhs.coeffs.get(primary)
@@ -105,17 +119,13 @@ def theta_basis_solve(chart, rhs: Form) -> VectorField:
     return VectorField(chart, comps)
 
 
-def xi_q(a: Form, verify_points=None, tol=1e-9) -> HamiltonianPair:
+def xi_q(a: Form) -> HamiltonianPair:
     """Hamiltonian pair of a configuration form (coefficients and indices
     over base and fiber coordinates only)."""
-    xi = theta_basis_solve(a.chart, -exterior_derivative(a))
-    pair = HamiltonianPair(a, xi)
-    if verify_points is not None:
-        pair.verify(verify_points, tol)
-    return pair
+    return HamiltonianPair(a, theta_basis_solve(a.chart, -exterior_derivative(a)))
 
 
-def xi_p(xi_config: VectorField, verify_points=None, tol=1e-9) -> HamiltonianPair:
+def xi_p(xi_config: VectorField) -> HamiltonianPair:
     """Hamiltonian pair of the momentum form xi . theta for a configuration
     vector field; the momentum correction solves the Lie-derivative block."""
     chart = xi_config.chart
@@ -124,11 +134,7 @@ def xi_p(xi_config: VectorField, verify_points=None, tol=1e-9) -> HamiltonianPai
             raise ValueError("xi_p expects a configuration vector field")
     p_form = contract(xi_config, chart.theta())
     rhs = -(exterior_derivative(p_form) + contract(xi_config, chart.multisymplectic_form()))
-    eta = theta_basis_solve(chart, rhs)
-    pair = HamiltonianPair(p_form, xi_config + eta)
-    if verify_points is not None:
-        pair.verify(verify_points, tol)
-    return pair
+    return HamiltonianPair(p_form, xi_config + theta_basis_solve(chart, rhs))
 
 
 def pi_field(chart, nu: str, mu: str) -> VectorField:
@@ -139,7 +145,37 @@ def pi_field(chart, nu: str, mu: str) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# pointwise membership solve
+# the defining system at a point
+
+def _defining_system(chart, da: Form, env):
+    """da = -Xi . Omega at one point as A xi = -b: column c of A holds the
+    values of d/dc . Omega and b those of da, over the union of their index
+    blocks."""
+    columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
+    keys = sorted(set(da.coeffs) | {k for col in columns for k in col.coeffs})
+    key_row = {k: r for r, k in enumerate(keys)}
+    A = np.zeros((len(keys), chart.dim))
+    for c, col in enumerate(columns):
+        for k, coeff in col.coeffs.items():
+            A[key_row[k], c] = float(coeff.evaluate(env))
+    b = np.zeros(len(keys))
+    for k, coeff in da.coeffs.items():
+        b[key_row[k]] = float(coeff.evaluate(env))
+    return A, b
+
+
+def _max_abs(v) -> float:
+    return float(np.max(np.abs(v))) if len(v) else 0.0
+
+
+def _lstsq_xi(chart, da: Form, env):
+    """Least-squares xi of the defining system at one point: (components,
+    max |A xi + b|, rank of A)."""
+    A, b = _defining_system(chart, da, env)
+    sol, _, rank, _ = np.linalg.lstsq(A, -b, rcond=None)
+    comps = {i: float(v) for i, v in enumerate(sol) if abs(v) > 0.0}
+    return comps, _max_abs(A @ sol + b), rank
+
 
 class PointwiseXi:
     """Vector field known only through per-point least squares against the
@@ -151,59 +187,33 @@ class PointwiseXi:
         self.chart = form.chart
         self.residual = residual
         self.rank_deficient = rank_deficient
-        self._da = exterior_derivative(form)
+        self._da = None
 
     def solve_at(self, env):
+        """(components, residual) of the least-squares solve at one point."""
+        if self._da is None:
+            self._da = exterior_derivative(self.form)
         comps, res, _ = _lstsq_xi(self.chart, self._da, env)
         return comps, res
 
 
-def _lstsq_xi(chart, da: Form, env):
-    columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
-    keys = sorted(set(da.coeffs) | {k for col in columns for k in col.coeffs})
-    key_row = {k: r for r, k in enumerate(keys)}
-    A = np.zeros((len(keys), chart.dim))
-    for c, col in enumerate(columns):
-        for k, coeff in col.coeffs.items():
-            A[key_row[k], c] = float(coeff.evaluate(env))
-    b = np.zeros(len(keys))
-    for k, coeff in da.coeffs.items():
-        b[key_row[k]] = float(coeff.evaluate(env))
-    sol, _, rank, _ = np.linalg.lstsq(A, -b, rcond=None)
-    residual = float(np.max(np.abs(A @ sol + b))) if len(keys) else 0.0
-    comps = {i: float(v) for i, v in enumerate(sol) if abs(v) > 0.0}
-    return comps, residual, rank
-
-
-def _lstsq_worst(a: Form, points):
-    """(worst residual, largest rank deficiency) of the pointwise solves of
-    da = -xi . Omega."""
+def xi_general(a: Form, points, tol=1e-9) -> PointwiseXi:
+    """Pointwise least squares of the defining system.  Accepts the form
+    when the residual stays below ``tol`` at every probe point; otherwise
+    raises NotBracketable carrying the worst residual.  Rank deficiency of
+    the solve is reported on the result rather than assumed away.  The
+    decision is logged at debug level on ``polyfield.brackets``."""
     da = exterior_derivative(a)
     worst, deficiency = 0.0, 0
     for env in points:
         _, res, rank = _lstsq_xi(a.chart, da, env)
         worst = max(worst, res)
         deficiency = max(deficiency, a.chart.dim - rank)
-    return worst, deficiency
-
-
-def membership_residual(a: Form, points) -> float:
-    """Worst least-squares residual of da = -xi . Omega over the points."""
-    return _lstsq_worst(a, points)[0]
-
-
-def xi_general(a: Form, points, tol=1e-9) -> PointwiseXi:
-    """Pointwise solve of the defining relation; accepts the form when the
-    residual stays below ``tol`` at every probe point, else raises
-    NotBracketable.  Rank deficiency of the solve is reported on the result
-    rather than assumed away.  The decision is logged at debug level on
-    ``polyfield.brackets``."""
-    worst, deficiency = _lstsq_worst(a, points)
     log.debug("xi_general %s: worst residual %.3e against tol %g, rank deficiency %d "
               "over %d points", "rejected" if worst > tol else "accepted", worst, tol,
               deficiency, len(points))
     if worst > tol:
-        raise NotBracketable(f"membership residual {worst:.3e} exceeds {tol:g}")
+        raise NotBracketable(f"membership residual {worst:.3e} exceeds {tol:g}", residual=worst)
     return PointwiseXi(a, worst, deficiency > 0)
 
 
@@ -320,8 +330,7 @@ def scalar_of_super(sf: SuperForm) -> Expression:
     return c
 
 
-def superize(a: Form, xi_solver=None, verify_points=None, tol=1e-9,
-             with_xi=True) -> SuperForm:
+def superize(a: Form, xi_solver=None, with_xi=True) -> SuperForm:
     """Embed a (p-1)-form: sum of tau_{a_1}..tau_{a_{n-p}} dx^{a_1..} ^ a
     over increasing base subsets, with the component vector fields solved
     per block (``xi_solver`` overrides the default configuration-form
@@ -349,14 +358,8 @@ def superize(a: Form, xi_solver=None, verify_points=None, tol=1e-9,
         if block.is_zero():
             xis[S] = VectorField(chart, {})
             continue
-        if xi_solver is not None:
-            pair = xi_solver(S, block)
-        else:
-            pair = xi_q(block, verify_points=verify_points, tol=tol)
-        if isinstance(pair, HamiltonianPair):
-            xis[S] = pair.xi
-        else:
-            xis[S] = pair
+        pair = xi_q(block) if xi_solver is None else xi_solver(S, block)
+        xis[S] = pair.xi if isinstance(pair, HamiltonianPair) else pair
     return SuperForm(chart, parts, xis if with_xi else None)
 
 
@@ -463,14 +466,9 @@ def noether_sides(hamiltonian, xi_config: VectorField):
 def q_position(chart, i: int, f) -> Form:
     """Position observable: y^i times the contraction of a base vector field
     f = f^a d/dx^a into the volume form."""
-    field = VectorField(chart, {a - 1: as_expr(c) for a, c in _as_base_components(chart, f)})
+    slots = f.items() if isinstance(f, dict) else enumerate(f, 1)
+    field = VectorField(chart, {a - 1: as_expr(c) for a, c in slots})
     return contract(field, chart.volume_form()).scale(chart.sym(chart.fiber_names[i - 1]))
-
-
-def _as_base_components(chart, f):
-    if isinstance(f, dict):
-        return [(a, c) for a, c in f.items()]
-    return [(a + 1, c) for a, c in enumerate(f)]
 
 
 def p_momentum(chart, mu: str, g) -> Form:

@@ -96,10 +96,6 @@ class Expression:
     def diff(self, name: str) -> "Expression":
         raise NotImplementedError
 
-    def substitute(self, mapping) -> "Expression":
-        """Replace symbols by expressions (simultaneously)."""
-        raise NotImplementedError
-
     def is_zero(self) -> bool:
         """True when the expression is identically zero as a polynomial in
         its atoms: symbols, primitive calls, opaque jets and reciprocals of
@@ -190,9 +186,6 @@ class Const(Expression):
     def diff(self, name):
         return ZERO
 
-    def substitute(self, mapping):
-        return self
-
     def _normal(self):
         if not math.isfinite(self.value):
             return _atom_poly(("const", self))
@@ -220,9 +213,6 @@ class Sym(Expression):
     def diff(self, name):
         return ONE if name == self.name else ZERO
 
-    def substitute(self, mapping):
-        return mapping.get(self.name, self)
-
     def _normal(self):
         return _atom_poly(("sym", self.name))
 
@@ -249,9 +239,6 @@ class Add(_Binary):
     def diff(self, name):
         return add(self.a.diff(name), self.b.diff(name))
 
-    def substitute(self, mapping):
-        return add(self.a.substitute(mapping), self.b.substitute(mapping))
-
     @staticmethod
     def _combine(ra, rb):
         return (ra + rb) % _P
@@ -268,9 +255,6 @@ class Mul(_Binary):
 
     def diff(self, name):
         return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
-
-    def substitute(self, mapping):
-        return mul(self.a.substitute(mapping), self.b.substitute(mapping))
 
     @staticmethod
     def _combine(ra, rb):
@@ -293,9 +277,6 @@ class Div(_Binary):
         # (a/b)' = a'/b - a b'/b^2
         da, db = self.a.diff(name), self.b.diff(name)
         return sub(div(da, self.b), div(mul(self.a, db), mul(self.b, self.b)))
-
-    def substitute(self, mapping):
-        return div(self.a.substitute(mapping), self.b.substitute(mapping))
 
     @staticmethod
     def _combine(ra, rb):
@@ -327,9 +308,6 @@ class Pow(Expression):
         db = self.base.diff(name)
         return mul(mul(Const(self.k), pow_int(self.base, self.k - 1)), db)
 
-    def substitute(self, mapping):
-        return pow_int(self.base.substitute(mapping), self.k)
-
     def _normal(self):
         p = self.base._poly()
         if self.k < 0:
@@ -355,9 +333,6 @@ class Neg(Expression):
 
     def diff(self, name):
         return neg(self.a.diff(name))
-
-    def substitute(self, mapping):
-        return neg(self.a.substitute(mapping))
 
     def _normal(self):
         return {m: -c for m, c in self.a._poly().items()}
@@ -409,9 +384,6 @@ class Call(Expression):
             raise ExprError(f"unknown primitive {self.fn}")
         return mul(outer, da)
 
-    def substitute(self, mapping):
-        return Call(self.fn, self.a.substitute(mapping))
-
     def _normal(self):
         return _atom_poly(("call", self.fn, frozenset(self.a._poly().items())))
 
@@ -436,12 +408,6 @@ class Opaque(Expression):
         if name not in self.jet.symbols:
             return ZERO
         return Opaque(self.jet.partial(name))
-
-    def substitute(self, mapping):
-        hit = set(mapping) & set(self.jet.symbols)
-        if hit:
-            raise ExprError(f"cannot substitute {sorted(hit)} inside opaque '{self.jet.name}'")
-        return self
 
     def _normal(self):
         return _atom_poly(("jet", self.jet))
@@ -550,7 +516,15 @@ ONE = Const(1.0)
 # operand).  Products of non-zero factors never cancel, so a tree built
 # through these helpers is either a Const or not zero, and the operand
 # checks only need to look for a zero Const; the result of add is checked
-# with is_zero.
+# with is_zero.  A folded constant that is not finite raises EvalDomainError.
+
+def _fold(value, op, *operands):
+    """The folded constant; a non-finite value raises EvalDomainError."""
+    if not math.isfinite(value):
+        shown = ", ".join(to_source(x) for x in operands)
+        raise EvalDomainError(f"{op}({shown}) overflows")
+    return Const(value)
+
 
 def _zero_const(e):
     return isinstance(e, Const) and e.value == 0.0
@@ -562,7 +536,7 @@ def add(a, b):
     if _zero_const(b):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(a.value + b.value, "add", a, b)
     node = Add(a, b)
     return ZERO if node.is_zero() else node
 
@@ -583,7 +557,7 @@ def mul(a, b):
     if b.is_const(-1.0):
         return neg(a)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(a.value * b.value, "mul", a, b)
     return Mul(a, b)
 
 
@@ -597,7 +571,7 @@ def div(a, b):
     if b.is_const(1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value / b.value)
+        return _fold(a.value / b.value, "div", a, b)
     return Div(a, b)
 
 
@@ -650,7 +624,8 @@ def sqrt(a):
 def _call(fn, a):
     a = as_expr(a)
     if isinstance(a, Const):
-        return Const(Call(fn, a).evaluate({}))
+        with np.errstate(over="ignore"):
+            return _fold(float(Call(fn, a).evaluate({})), fn, a)
     return Call(fn, a)
 
 

@@ -59,9 +59,12 @@ class MomentumCoord:
         return len(self.theta_terms[0][0])
 
 
+# base coordinates of the points at which a chart checks its volume density
+_DENSITY_PROBE_BOX = (0.1, 0.9)
+
+
 class Chart:
-    def __init__(self, kind, base_names, fiber_names, momentum_specs, density=None,
-                 probe_box=(0.1, 0.9)):
+    def __init__(self, kind, base_names, fiber_names, momentum_specs, density=None):
         self.kind = kind
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
@@ -89,7 +92,7 @@ class Chart:
         extra = self.density.free_symbols() - set(self.base_names)
         if extra:
             raise ValueError(f"volume density may only depend on base coordinates, got {sorted(extra)}")
-        self._check_density_positive(probe_box)
+        self._check_density_positive()
 
         self._qsubset = {}
         for mc in self.momenta:
@@ -117,10 +120,10 @@ class Chart:
         I, s = canon
         return I, s * sign
 
-    def _check_density_positive(self, box):
+    def _check_density_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(16):
-            env = {nm: float(rng.uniform(*box)) for nm in self.base_names}
+            env = {nm: float(rng.uniform(*_DENSITY_PROBE_BOX)) for nm in self.base_names}
             if float(self.density.evaluate(env)) <= 0.0:
                 raise ValueError(f"volume density non-positive at probe point {env}")
 
@@ -328,27 +331,27 @@ def _default_fiber_names(k):
     return ("y",) if k == 1 else tuple(f"y{i}" for i in range(1, k + 1))
 
 
-def full_chart(n, k, density=None, fiber_names=None, probe_box=(0.1, 0.9)) -> Chart:
+def full_chart(n, k, density=None, fiber_names=None) -> Chart:
     """Phase space with the complete set of graded momenta: n + k + C(n+k, n)
     coordinates."""
     fiber_names = tuple(fiber_names) if fiber_names else _default_fiber_names(k)
     if len(fiber_names) != k:
         raise ValueError("fiber_names length must equal k")
     return Chart("full", tuple(f"x{a}" for a in range(1, n + 1)), fiber_names,
-                 _graded_specs(n, k, max_fiber=n), density, probe_box)
+                 _graded_specs(n, k, max_fiber=n), density)
 
 
-def weyl_chart(n, k, density=None, fiber_names=None, probe_box=(0.1, 0.9)) -> Chart:
+def weyl_chart(n, k, density=None, fiber_names=None) -> Chart:
     """Restriction keeping eps and the single-fiber momenta (all momenta with
     two or more fiber indices pinned to zero)."""
     fiber_names = tuple(fiber_names) if fiber_names else _default_fiber_names(k)
     if len(fiber_names) != k:
         raise ValueError("fiber_names length must equal k")
     return Chart("weyl", tuple(f"x{a}" for a in range(1, n + 1)), fiber_names,
-                 _graded_specs(n, k, max_fiber=1), density, probe_box)
+                 _graded_specs(n, k, max_fiber=1), density)
 
 
-def maxwell_chart(n, density=None, probe_box=(0.1, 0.9)) -> Chart:
+def maxwell_chart(n, density=None) -> Chart:
     """Weyl-type chart over a cotangent fiber A1..An with the antisymmetric
     momentum constraint held by storage: pA{a}_{b} with a < b is a
     coordinate, the transposed alias resolves to its negative and the
@@ -360,7 +363,7 @@ def maxwell_chart(n, density=None, probe_box=(0.1, 0.9)) -> Chart:
         for b in range(a + 1, n + 1):
             specs.append((f"pA{a}_{b}", (((a,), (b,), 1), ((b,), (a,), -1))))
     return Chart("maxwell", tuple(f"x{a}" for a in range(1, n + 1)),
-                 tuple(f"A{a}" for a in range(1, n + 1)), specs, density, probe_box)
+                 tuple(f"A{a}" for a in range(1, n + 1)), specs, density)
 
 
 def restrict_weyl(chart: Chart) -> Chart:

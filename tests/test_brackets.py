@@ -7,7 +7,7 @@ import pytest
 from polyfield import expr as ex
 from polyfield.brackets import (
     BracketError, HamiltonianPair, SuperForm, NotBracketable, eta_slice, external_bracket,
-    h_omega_bracket, internal_bracket, is_admissible, membership_residual,
+    h_omega_bracket, internal_bracket, is_admissible,
     noether_sides, p_momentum, p_momentum_starred, pi_field, q_position,
     sbracket, scalar_of_super, super_scalar, superize, xi_general, xi_p,
     xi_q, xi_tau_scalar,
@@ -48,9 +48,45 @@ def random_config_field(chart, rng):
     return VectorField(chart, comps)
 
 
+def verified(pair, points):
+    """The pair, after ``pair.verify(points)`` has passed at the default tol."""
+    pair.verify(points)
+    return pair
+
+
 def forms_equal(a, b, points, tol=1e-9):
     diff = a - b
     return max(diff.max_abs_at(env) for env in points) <= tol
+
+
+# -- the defining relation ------------------------------------------------------
+
+def symbolic_residual(pair, points):
+    """Reference for ``verify``: max |da + Xi . Omega| with the residual
+    built as a form and evaluated coefficient by coefficient."""
+    res = exterior_derivative(pair.form) + contract(pair.xi, pair.chart.multisymplectic_form())
+    return max(res.max_abs_at(env) for env in points)
+
+
+@pytest.mark.parametrize("chart", [full_chart(3, 2), full_chart(2, 2, density=ex.parse("1 + x1^2/2"))],
+                         ids=["full_3_2", "curved_full_2_2"])
+def test_verify_matches_symbolic_defining_residual(chart):
+    rng = np.random.default_rng(40 + chart.n)
+    pts = probes(chart, rng, 8)
+    kick = VectorField(chart, {chart.index("eps"): ex.Const(0.5)})
+    drift = VectorField(chart, {chart.index("y1"): chart.sym("x1")})
+    for _ in range(2):
+        for pair in (xi_q(random_q_form(chart, rng)), xi_p(random_config_field(chart, rng))):
+            want = symbolic_residual(pair, pts)
+            assert pair.verify(pts) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            for extra in (kick, drift):
+                wrong = HamiltonianPair(pair.form, pair.xi + extra)
+                want = symbolic_residual(wrong, pts)
+                assert want > 1e-3
+                assert wrong.verify(pts, tol=np.inf) == pytest.approx(want, rel=1e-12)
+                with pytest.raises(NotBracketable) as refusal:
+                    wrong.verify(pts)
+                assert refusal.value.residual == pytest.approx(want, rel=1e-12)
 
 
 # -- closed-form vector fields ------------------------------------------------
@@ -62,7 +98,7 @@ def test_xi_q_position_observable_matches_display():
     q = q_position(chart, 1, [f1, f2])
     rng = np.random.default_rng(0)
     pts = probes(chart, rng)
-    pair = xi_q(q, verify_points=pts)
+    pair = verified(xi_q(q), pts)
     expected = VectorField(chart, {
         chart.index("p1"): -f1,
         chart.index("p2"): -f2,
@@ -94,9 +130,10 @@ def test_xi_general_least_squares_membership():
     assert solved.residual <= 1e-9
     assert not solved.rank_deficient  # the defining system pins the field uniquely
     bad = chart.d_coord("y").scale(chart.sym("eps"))
-    assert membership_residual(bad, pts) > 1e-3
-    with pytest.raises(NotBracketable):
+    with pytest.raises(NotBracketable) as rejected:
         xi_general(bad, pts)
+    assert rejected.value.residual > 1e-3
+    assert rejected.value.stray == ()
 
 
 def test_xi_general_logs_its_decision(caplog):
@@ -107,12 +144,12 @@ def test_xi_general_logs_its_decision(caplog):
     bad = chart.d_coord("y").scale(chart.sym("eps"))
     with caplog.at_level(logging.DEBUG, logger="polyfield.brackets"):
         solved = xi_general(good, pts, tol=1e-9)
-        with pytest.raises(NotBracketable):
+        with pytest.raises(NotBracketable) as refusal:
             xi_general(bad, pts, tol=1e-9)
     accepted, rejected = [r.getMessage() for r in caplog.records if r.name == "polyfield.brackets"]
     assert accepted == (f"xi_general accepted: worst residual {solved.residual:.3e} against "
                         f"tol 1e-09, rank deficiency 0 over 10 points")
-    assert rejected == (f"xi_general rejected: worst residual {membership_residual(bad, pts):.3e} "
+    assert rejected == (f"xi_general rejected: worst residual {refusal.value.residual:.3e} "
                         f"against tol 1e-09, rank deficiency 0 over 10 points")
 
 
@@ -137,7 +174,7 @@ def test_xi_p_scalar_field_display_on_curved_chart():
     xi_cfg = VectorField(chart, {chart.index("y"): f})
     rng = np.random.default_rng(3)
     pts = probes(chart, rng)
-    pair = xi_p(xi_cfg, verify_points=pts)
+    pair = verified(xi_p(xi_cfg), pts)
     expected = VectorField(chart, {
         chart.index("y"): f,
         chart.index("eps"): -(f.diff("x1") * chart.sym("p1") + f.diff("x2") * chart.sym("p2")),
@@ -148,7 +185,7 @@ def test_xi_p_scalar_field_display_on_curved_chart():
 def test_xi_p_constant_fiber_direction_is_itself():
     chart = full_chart(2, 2)
     xi_cfg = VectorField(chart, {chart.index("y2"): ex.ONE})
-    pair = xi_p(xi_cfg, verify_points=probes(chart, np.random.default_rng(4)))
+    pair = verified(xi_p(xi_cfg), probes(chart, np.random.default_rng(4)))
     assert set(pair.xi.components) == {chart.index("y2")}
 
 
@@ -157,7 +194,7 @@ def test_xi_p_base_rotation_picks_up_pi_correction():
     xi_cfg = VectorField(chart, {chart.index("x2"): chart.sym("x1")})
     rng = np.random.default_rng(5)
     pts = probes(chart, rng)
-    pair = xi_p(xi_cfg, verify_points=pts)
+    pair = verified(xi_p(xi_cfg), pts)
     correction = pi_field(chart, "x1", "x2")  # d xi^{x2}/d x1 = 1
     expected = xi_cfg - correction
     assert forms_equal(pair.xi.as_multivector(), expected.as_multivector(), pts, 1e-10)
@@ -196,9 +233,9 @@ def test_momentum_position_bracket_reproduces_pairing_row():
     gfun = chart.parse("x1 + 2")
     f = [chart.parse("x2"), chart.parse("x1*x2")]
     for i in (1, 2):
-        p_pair = xi_p(VectorField(chart, {chart.index(f"y{i}"): gfun}), verify_points=pts)
+        p_pair = verified(xi_p(VectorField(chart, {chart.index(f"y{i}"): gfun})), pts)
         for j in (1, 2):
-            q_pair = xi_q(q_position(chart, j, f), verify_points=pts)
+            q_pair = verified(xi_q(q_position(chart, j, f)), pts)
             br = internal_bracket(p_pair, q_pair)
             if i != j:
                 assert forms_equal(br, Form(chart, 1, {}), pts, 1e-10)
@@ -214,8 +251,8 @@ def test_momentum_momentum_bracket_exact_term():
     rng = np.random.default_rng(9)
     pts = probes(chart, rng)
     g1, g2 = chart.parse("x1"), chart.parse("x2^2 + 1")
-    pa = xi_p(VectorField(chart, {chart.index("y1"): g1}), verify_points=pts)
-    pb = xi_p(VectorField(chart, {chart.index("y2"): g2}), verify_points=pts)
+    pa = verified(xi_p(VectorField(chart, {chart.index("y1"): g1})), pts)
+    pb = verified(xi_p(VectorField(chart, {chart.index("y2"): g2})), pts)
     br = internal_bracket(pa, pb)
     inner = contract(chart.coordinate_field("y2"),
                      contract(chart.coordinate_field("y1"), chart.theta()))
@@ -231,7 +268,7 @@ def test_general_momentum_bracket_row():
     for _ in range(5):
         xi_cfg = random_config_field(chart, rng)
         eta_cfg = random_config_field(chart, rng)
-        pa, pb = xi_p(xi_cfg, verify_points=pts), xi_p(eta_cfg, verify_points=pts)
+        pa, pb = verified(xi_p(xi_cfg), pts), verified(xi_p(eta_cfg), pts)
         br = internal_bracket(pa, pb)
         want = contract(xi_cfg.lie_bracket(eta_cfg), chart.theta()) + exterior_derivative(
             contract(eta_cfg, contract(xi_cfg, chart.theta())))
@@ -409,8 +446,10 @@ def test_sbracket_graded_antisymmetry():
         assert max((ab - ba.scale(sign)).max_abs_at(env) for env in pts) <= 1e-12
     # the Weyl chart has no two-fiber momentum to pair with d(dx1 ^ y1 dy2)
     weyl = weyl_chart(3, 2)
-    with pytest.raises(NotBracketable, match=r"x1\^y1\^y2"):
+    with pytest.raises(NotBracketable, match=r"x1\^y1\^y2") as refusal:
         superize(weyl.d_coord("y2").scale(weyl.sym("y1")))
+    assert "x1^y1^y2" in refusal.value.stray
+    assert refusal.value.residual is None  # the exact solve evaluates nothing
 
 
 def test_sbracket_lower_degree_pairs_vanish_without_constraints():

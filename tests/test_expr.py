@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,12 +146,6 @@ def test_mixed_partials_commute():
         assert dxy.evaluate(env) == pytest.approx(dyx.evaluate(env), rel=1e-12)
 
 
-def test_substitute():
-    e = parse("x^2 + y")
-    s = e.substitute({"x": parse("sin(t)"), "y": Const(2.0)})
-    assert s.evaluate({"t": 0.7}) == pytest.approx(math.sin(0.7) ** 2 + 2.0)
-
-
 def _quadratic_jet():
     # f(u, w) = u^2 * w with hand-coded exact partials, two levels deep
     def val(env):
@@ -224,6 +219,20 @@ def test_nonzero_difference_stays_nonzero(source, env, value):
 def test_constant_power_that_overflows_raises():
     with pytest.raises(EvalDomainError, match="overflows"):
         parse("10^400")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse("x + 10^200*10^200"),
+    lambda: parse("1e200/1e-200 - x"),
+    lambda: Const(1e308) + Const(1e308),
+    lambda: expr.exp(Const(1000.0)),
+], ids=["mul", "div", "add", "exp"])
+def test_constant_folding_that_overflows_raises(build):
+    # a folded inf would print as 'inf' and parse back as a symbol of that name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match="overflows"):
+            build()
 
 
 def test_denominator_expanding_to_zero_raises():

@@ -203,6 +203,22 @@ def test_theta_basis_primary_keys_unique():
             assert primary in block.coeffs
 
 
+@pytest.mark.parametrize("chart", [
+    full_chart(3, 2),
+    full_chart(3, 3, density=ex.parse("1 + x1^2/2 + x2*x3/4")),
+    weyl_chart(2, 1, density=ex.parse("1 + x1^2")),
+    maxwell_chart(3),
+], ids=["full_3_2", "curved_full_3_3", "curved_weyl_2_1", "maxwell_3"])
+def test_momentum_columns_of_omega_are_theta_blocks(chart):
+    # d/dc . Omega = Theta_c exactly for every momentum c, which is what lets
+    # the defining system be solved triangularly through the primary keys
+    for idx, block, _, _ in chart.theta_basis():
+        column = chart.contract_omega_with(idx)
+        assert set(column.coeffs) == set(block.coeffs)
+        for key, coeff in block.coeffs.items():
+            assert (column.coeffs[key] - coeff).is_zero()
+
+
 def test_density_must_be_positive():
     with pytest.raises(ValueError):
         weyl_chart(2, 1, density=ex.parse("x1 - 10"))
