@@ -73,7 +73,9 @@ class HamiltonianPair:
 
     def verify(self, points, tol=1e-9) -> float:
         """Worst max |da + Xi . Omega| over the points, from the defining
-        system at each point; raises NotBracketable above ``tol``."""
+        system at each point; raises NotBracketable above ``tol`` and
+        ValueError when given no points."""
+        _require_points(points)
         da = exterior_derivative(self.form)
         worst = 0.0
         for env in points:
@@ -164,6 +166,11 @@ def _defining_system(chart, da: Form, env):
     return A, b
 
 
+def _require_points(points):
+    if not points:
+        raise ValueError("no points to check the defining relation at")
+
+
 def _max_abs(v) -> float:
     return float(np.max(np.abs(v))) if len(v) else 0.0
 
@@ -200,9 +207,11 @@ class PointwiseXi:
 def xi_general(a: Form, points, tol=1e-9) -> PointwiseXi:
     """Pointwise least squares of the defining system.  Accepts the form
     when the residual stays below ``tol`` at every probe point; otherwise
-    raises NotBracketable carrying the worst residual.  Rank deficiency of
-    the solve is reported on the result rather than assumed away.  The
-    decision is logged at debug level on ``polyfield.brackets``."""
+    raises NotBracketable carrying the worst residual, and ValueError when
+    given no points.  Rank deficiency of the solve is reported on the
+    result rather than assumed away.  The decision is logged at debug level
+    on ``polyfield.brackets``."""
+    _require_points(points)
     da = exterior_derivative(a)
     worst, deficiency = 0.0, 0
     for env in points:
@@ -268,9 +277,6 @@ class SuperForm:
     def scale(self, factor):
         return SuperForm(self.chart, {k: v.scale(factor) for k, v in self.parts.items()})
 
-    def d(self) -> "SuperForm":
-        return SuperForm(self.chart, {k: exterior_derivative(v) for k, v in self.parts.items()})
-
     def mul_tau_right(self, scalar) -> "SuperForm":
         """Multiply by a tau-linear scalar sum c_a tau_a from the right."""
         out = {}
@@ -333,8 +339,9 @@ def scalar_of_super(sf: SuperForm) -> Expression:
 def superize(a: Form, xi_solver=None, with_xi=True) -> SuperForm:
     """Embed a (p-1)-form: sum of tau_{a_1}..tau_{a_{n-p}} dx^{a_1..} ^ a
     over increasing base subsets, with the component vector fields solved
-    per block (``xi_solver`` overrides the default configuration-form
-    solve, e.g. for momentum-valued blocks).
+    per block (``xi_solver(S, block)`` returns the block's VectorField in
+    place of the default configuration-form solve, e.g. for momentum-valued
+    blocks).
 
     Each block must be bracketable on the chart.  On a Weyl chart, which
     keeps only single-fiber momenta, a form whose blocks need a multi-fiber
@@ -358,8 +365,7 @@ def superize(a: Form, xi_solver=None, with_xi=True) -> SuperForm:
         if block.is_zero():
             xis[S] = VectorField(chart, {})
             continue
-        pair = xi_q(block) if xi_solver is None else xi_solver(S, block)
-        xis[S] = pair.xi if isinstance(pair, HamiltonianPair) else pair
+        xis[S] = xi_q(block).xi if xi_solver is None else xi_solver(S, block)
     return SuperForm(chart, parts, xis if with_xi else None)
 
 
@@ -372,11 +378,11 @@ def sbracket(A: SuperForm, B: SuperForm) -> Form | SuperForm:
     omega = chart.multisymplectic_form()
     out = {}
     for S, xa in A.xi.items():
-        if not xa.components:
+        if xa.is_zero():
             continue
         inner = contract(xa, omega)
         for T, xb in B.xi.items():
-            if not xb.components:
+            if xb.is_zero():
                 continue
             m = merge_indices(S, T)
             if m is None:
@@ -398,26 +404,29 @@ def xi_tau_scalar(A: SuperForm):
             if not xi.component(alpha - 1).is_zero()}
 
 
-def is_admissible(a, points, tol=1e-10, xi_solver=None) -> bool:
+def is_admissible(a: Form, points) -> bool:
     """A lower-degree form is admissible when its superform's vector fields
-    have no base components anywhere."""
-    sf = a if isinstance(a, SuperForm) else superize(a, xi_solver=xi_solver)
-    for S, xi in sf.xi.items():
+    have no base components (above 1e-10) at any of the points; raises
+    ValueError when given no points."""
+    _require_points(points)
+    sf = superize(a)
+    for xi in sf.xi.values():
         for i, comp in xi.components.items():
             if sf.chart.is_base(i):
                 for env in points:
-                    if abs(float(comp.evaluate(env))) > tol:
+                    if abs(float(comp.evaluate(env))) > 1e-10:
                         return False
     return True
 
 
-def h_omega_bracket(hamiltonian, a, xi_solver=None, points=None, tol=1e-10) -> Form:
+def h_omega_bracket(hamiltonian, a, xi_solver=None) -> Form:
     """Bracket of the Hamiltonian n-form with an observable.
 
     For an (n-1)-form (or a ready HamiltonianPair) this is the n-form
     bracket -Xi(a) . d(H omega).  For an admissible lower-degree form the
     tau weights drop out and the bracket is the signed sum over leading
-    base multivectors wedged with the component vector fields.
+    base multivectors wedged with the component vector fields; whether the
+    form is admissible is the caller's check (``is_admissible``).
     """
     chart = a.chart
     psi = chart.volume_form().scale(as_expr(hamiltonian))
@@ -426,16 +435,13 @@ def h_omega_bracket(hamiltonian, a, xi_solver=None, points=None, tol=1e-10) -> F
     if isinstance(a, HamiltonianPair):
         return external_bracket(psi, a)
     sf = superize(a, xi_solver=xi_solver)
-    if points is not None and not is_admissible(sf, points, tol):
-        raise NotBracketable("form is not admissible")
     dpsi = exterior_derivative(psi)
     total = None
     for S, xi in sf.xi.items():
-        if not xi.components:
+        if xi.is_zero():
             continue
         fields = [chart.coordinate_field(chart.base_names[alpha - 1]) for alpha in S]
-        mv = wedge_vectors(fields + [xi]) if fields else xi.as_multivector()
-        term = contract(mv, dpsi)
+        term = contract(wedge_vectors(fields + [xi]), dpsi)
         total = term if total is None else total + term
     if total is None:
         return Form(chart, a.degree + 1, {})

@@ -168,14 +168,14 @@ class Const(Expression):
 
     def __init__(self, value):
         self.value = v = float(value)
+        if not math.isfinite(v):
+            raise EvalDomainError(f"non-finite constant {v!r}")
         if v.is_integer():
             self._res = int(v) % _P
-        elif math.isfinite(v):
+        else:
             # v = n/2^k and 2^61 = 1 (mod _P), so 1/2^k is 2^(-k mod 61)
             n, d = v.as_integer_ratio()
             self._res = (n << (1 - d.bit_length()) % 61) % _P
-        else:
-            self._res = -1
 
     def free_symbols(self):
         return frozenset()
@@ -187,8 +187,6 @@ class Const(Expression):
         return ZERO
 
     def _normal(self):
-        if not math.isfinite(self.value):
-            return _atom_poly(("const", self))
         q = Fraction(self.value)
         c = q.numerator if q.denominator == 1 else q
         return {frozenset(): c} if c else {}
@@ -493,8 +491,8 @@ def _inverse(c):
 
 def _order(x):
     """Sort key for atoms, monomials and polynomials that depends only on
-    their content (on identity for jets and non-finite constants).  Hashes
-    cannot serve: hash(-1) == hash(-2), so x^-1 and x^-2 would tie."""
+    their content (on identity for jets).  Hashes cannot serve:
+    hash(-1) == hash(-2), so x^-1 and x^-2 would tie."""
     if isinstance(x, frozenset):
         return (3, tuple(sorted(_order(e) for e in x)))
     if isinstance(x, tuple):
@@ -673,7 +671,7 @@ class FunctionJet(OpaqueJet):
         return self._partial_factory(name)
 
 
-def jet_gradient_check(jet, points, rel_tol=1e-6, h=1e-6):
+def jet_gradient_check(jet, points, h=1e-6):
     """Self-test: jet partials against central differences of the value.
 
     Returns the worst relative error over all points and symbols.
@@ -702,7 +700,7 @@ def to_source(e) -> str:
     """Render an expression; ``parse(to_source(e))`` evaluates identically."""
     if isinstance(e, Const):
         v = e.value
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        if v == int(v) and abs(v) < 1e16:
             s = str(int(v))
         else:
             s = repr(v)

@@ -3,7 +3,9 @@
 Forms and multivectors are sparse maps from strictly increasing index
 tuples (positions in the chart's coordinate list) to expression
 coefficients.  Absent indices mean zero; a repeated index canonicalizes to
-the zero element.
+the zero element.  A vector field is the degree-1 multivector: it shares
+the arithmetic, and a wedge of vector fields is a plain multivector.
+``contract(X, a)`` and ``a.wedge(b)`` are the entry points for both.
 
 The interior product follows the leading-slot convention: a decomposable
 r-vector X = X_1 ^ ... ^ X_r fills the *first* r argument slots of a form,
@@ -22,7 +24,7 @@ from .expr import Expression, as_expr
 
 __all__ = [
     "Form", "Multivector", "VectorField",
-    "canonicalize", "merge_indices", "wedge", "contract",
+    "canonicalize", "merge_indices", "contract",
     "exterior_derivative", "lie_derivative", "wedge_vectors",
 ]
 
@@ -196,9 +198,6 @@ class Form(_Graded):
     def d(self) -> "Form":
         return exterior_derivative(self)
 
-    def contract(self, X) -> "Form":
-        return contract(X, self)
-
     def debug_rows(self):
         """Stable (index names, printed coefficient) rows for golden files."""
         names = self.chart.names
@@ -211,96 +210,64 @@ class Multivector(_Graded):
     __slots__ = ()
 
 
-class VectorField:
-    """Sparse vector field; component map from coordinate position to
-    expression."""
+class VectorField(Multivector):
+    """Degree-1 multivector: a sparse vector field with components keyed by
+    coordinate position."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ()
 
     def __init__(self, chart, components):
-        self.chart = chart
-        table = {}
-        for i, c in components.items():
-            c = as_expr(c)
-            if not c.is_zero():
-                table[int(i)] = c
-        self.components = table
+        super().__init__(chart, 1, {(int(i),): c for i, c in components.items()})
+
+    def _new(self, degree, coeffs, normalized=False):
+        if degree != 1:
+            return Multivector(self.chart, degree, coeffs, normalized=normalized)
+        field = object.__new__(VectorField)
+        Multivector.__init__(field, self.chart, 1, coeffs, normalized=True)
+        return field
 
     @classmethod
     def coordinate(cls, chart, name):
         return cls(chart, {chart.index(name): ex.ONE})
 
+    @property
+    def components(self) -> dict:
+        return {k[0]: c for k, c in self.coeffs.items()}
+
     def component(self, i) -> Expression:
-        return self.components.get(i, ex.ZERO)
-
-    def as_multivector(self) -> Multivector:
-        return Multivector(self.chart, 1, {(i,): c for i, c in self.components.items()},
-                           normalized=True)
-
-    def __add__(self, other):
-        out = dict(self.components)
-        for i, c in other.components.items():
-            out[i] = out[i] + c if i in out else c
-        return VectorField(self.chart, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VectorField(self.chart, {i: -c for i, c in self.components.items()})
-
-    def scale(self, factor):
-        factor = as_expr(factor)
-        return VectorField(self.chart, {i: factor * c for i, c in self.components.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
+        return self.coeffs.get((i,), ex.ZERO)
 
     def at(self, env):
-        return {i: float(c.evaluate(env)) for i, c in self.components.items()}
+        """Evaluate all components; returns {coordinate position: float}."""
+        return {k[0]: float(c.evaluate(env)) for k, c in self.coeffs.items()}
 
     def apply(self, f: Expression) -> Expression:
         """Directional derivative of a scalar expression."""
         names = self.chart.names
         out = ex.ZERO
-        for i, c in self.components.items():
+        for (i,), c in self.coeffs.items():
             out = out + c * f.diff(names[i])
         return out
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
-        names = self.chart.names
-        out = {}
         touched = set(self.components) | set(other.components)
-        for m in touched:
-            term = self.apply(other.component(m)) - other.apply(self.component(m))
-            if not term.is_zero():
-                out[m] = term
-        return VectorField(self.chart, out)
-
-    def __repr__(self):
-        names = self.chart.names
-        rows = ", ".join(f"d/d{names[i]}: {c}" for i, c in sorted(self.components.items()))
-        return f"<vector [{rows}]>"
-
-
-def wedge(a, b):
-    return a.wedge(b)
+        return VectorField(self.chart, {
+            m: self.apply(other.component(m)) - other.apply(self.component(m))
+            for m in touched})
 
 
 def wedge_vectors(fields) -> Multivector:
     fields = list(fields)
     if not fields:
         raise ValueError("empty wedge")
-    out = fields[0].as_multivector()
+    out = fields[0]
     for f in fields[1:]:
-        out = out.wedge(f.as_multivector())
+        out = out.wedge(f)
     return out
 
 
 def contract(X, a: Form) -> Form:
     """Interior product X . a with X filling the leading argument slots."""
-    if isinstance(X, VectorField):
-        X = X.as_multivector()
     if X.chart is not a.chart:
         raise ValueError("chart mismatch")
     r, p = X.degree, a.degree

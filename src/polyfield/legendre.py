@@ -196,13 +196,20 @@ def w_gradient(L: Lagrangian, pt, v) -> np.ndarray:
 # Newton steps taken, max |dW/dv| and velocity Hessian condition at the solution
 SolveReport = namedtuple("SolveReport", "iterations residual condition")
 
+# accepted max |dW/dv|, and the largest velocity Hessian condition not singular
+SOLVE_TOL = 1e-10
+COND_LIMIT = 1e12
+# aliases of one stored momentum (and structural zeros) agree within this
+CONSTRAINT_TOL = 1e-9
 
-def legendre_solve(L: Lagrangian, pt, v0=None, tol=1e-10, maxiter=50, cond_limit=1e12):
+
+def legendre_solve(L: Lagrangian, pt, v0=None, maxiter=50):
     """Newton iteration for the critical point of v -> W(q, v, p).
 
-    Returns ``(v, SolveReport)``: the velocity tensor with max |dW/dv| <= tol,
-    unique within the basin reached from ``v0`` (defaults to the zero
-    tensor).  The velocity Hessian is checked at every iterate and at v.
+    Returns ``(v, SolveReport)``: the velocity tensor with max |dW/dv| <=
+    SOLVE_TOL, unique within the basin reached from ``v0`` (defaults to the
+    zero tensor).  The velocity Hessian is checked at every iterate and at
+    v; a condition above COND_LIMIT raises SingularHessian.
     """
     chart, k, n = L.chart, L.chart.k, L.chart.n
     v = np.zeros((k, n)) if v0 is None else np.asarray(v0, dtype=float).reshape(k, n).copy()
@@ -211,10 +218,10 @@ def legendre_solve(L: Lagrangian, pt, v0=None, tol=1e-10, maxiter=50, cond_limit
         residual = float(np.max(np.abs(grad)))
         hess = pairing_d2v(chart, pt, v) - L.d2v(pt, v)
         cond = float(np.linalg.cond(hess))
-        if not np.isfinite(cond) or cond > cond_limit:
-            where = "solution" if residual <= tol else "iterate"
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            where = "solution" if residual <= SOLVE_TOL else "iterate"
             raise SingularHessian(f"velocity Hessian condition {cond:.3e} at {where}")
-        if residual <= tol:
+        if residual <= SOLVE_TOL:
             log.debug("legendre solve accepted after %d Newton steps: residual %.3e, "
                       "hessian condition %.3e", it, residual, cond)
             return v, SolveReport(it, residual, cond)
@@ -223,13 +230,13 @@ def legendre_solve(L: Lagrangian, pt, v0=None, tol=1e-10, maxiter=50, cond_limit
                         f"(residual {float(np.max(np.abs(w_gradient(L, pt, v)))):.3e})")
 
 
-def weyl_legendre(L: Lagrangian, pt, v, w=0.0, constraint_tol=1e-9):
+def weyl_legendre(L: Lagrangian, pt, v, w=0.0):
     """Closed-form momenta on the single-fiber sector: p^a_i = dL/dv^i_a and
     eps = w + L - sum (dL/dv) v.
 
     On a chart whose momentum storage identifies aliases (the constrained
     electromagnetic chart), all aliases of one stored coordinate must agree;
-    disagreement beyond ``constraint_tol`` raises ConstraintViolation.
+    disagreement beyond CONSTRAINT_TOL raises ConstraintViolation.
     """
     chart = L.chart
     v = np.asarray(v, dtype=float).reshape(chart.k, chart.n)
@@ -240,13 +247,13 @@ def weyl_legendre(L: Lagrangian, pt, v, w=0.0, constraint_tol=1e-9):
             val = dLdv[i - 1, a - 1]
             coord, sign = alias_value(chart, i, a)
             if coord is None:
-                if abs(val) > constraint_tol:
+                if abs(val) > CONSTRAINT_TOL:
                     raise ConstraintViolation(
                         f"dL/dv for fiber {i}, slot {a} must vanish, got {val:.3e}")
                 continue
             name = chart.names[coord]
             cand = val / sign
-            if name in stored and abs(stored[name] - cand) > constraint_tol:
+            if name in stored and abs(stored[name] - cand) > CONSTRAINT_TOL:
                 raise ConstraintViolation(
                     f"incompatible aliases for {name}: {stored[name]:.6e} vs {cand:.6e}")
             stored.setdefault(name, cand)
@@ -273,14 +280,12 @@ class EnvelopeHamiltonian(OpaqueJet):
 
     CACHE_SIZE = 64
 
-    def __init__(self, L: Lagrangian, v0=None, tol=1e-10, maxiter=50, cond_limit=1e12):
+    def __init__(self, L: Lagrangian):
         self.L = L
         self.chart = L.chart
         self.name = "H"
         self.symbols = tuple(L.chart.names)
         self.order = 1
-        self._opts = dict(tol=tol, maxiter=maxiter, cond_limit=cond_limit)
-        self._v0 = None if v0 is None else np.asarray(v0, dtype=float)
         self._cache = OrderedDict()
         self._partials = {}
         self.cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
@@ -294,7 +299,7 @@ class EnvelopeHamiltonian(OpaqueJet):
             stats["hits"] += 1
         else:
             stats["misses"] += 1
-            self._cache[key], self.last_report = legendre_solve(self.L, pt, self._v0, **self._opts)
+            self._cache[key], self.last_report = legendre_solve(self.L, pt)
             if len(self._cache) > self.CACHE_SIZE:
                 self._cache.popitem(last=False)
                 stats["evictions"] += 1
@@ -321,9 +326,6 @@ class EnvelopeHamiltonian(OpaqueJet):
                     return -float(self.L.derivative(name).evaluate(env))
             self._partials[name] = ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
         return self._partials[name]
-
-    def gradient(self, pt) -> dict:
-        return {nm: self.partial(nm).value(pt) for nm in self.chart.names}
 
     def as_expression(self) -> Expression:
         return ex.opaque(self)

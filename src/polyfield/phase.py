@@ -140,9 +140,6 @@ class Chart:
     def is_base(self, i: int) -> bool:
         return i < self.n
 
-    def is_fiber(self, i: int) -> bool:
-        return self.n <= i < self.n + self.k
-
     def is_momentum(self, i: int) -> bool:
         return i >= self.n + self.k
 
@@ -265,8 +262,8 @@ class Chart:
 
     # -- points ------------------------------------------------------------------
 
-    def point(self, values=None, default=0.0, **kw):
-        pt = {nm: float(default) for nm in self.names}
+    def point(self, values=None, **kw):
+        pt = dict.fromkeys(self.names, 0.0)
         if values:
             for nm, v in values.items():
                 if nm not in self._index:
@@ -278,11 +275,8 @@ class Chart:
             pt[nm] = float(v)
         return pt
 
-    def random_point(self, rng, lo=-1.0, hi=1.0, overrides=None):
-        pt = {nm: float(rng.uniform(lo, hi)) for nm in self.names}
-        if overrides:
-            pt.update({nm: float(v) for nm, v in overrides.items()})
-        return pt
+    def random_point(self, rng, lo=-1.0, hi=1.0):
+        return {nm: float(rng.uniform(lo, hi)) for nm in self.names}
 
     # -- serialization -------------------------------------------------------------
 

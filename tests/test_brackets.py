@@ -104,7 +104,7 @@ def test_xi_q_position_observable_matches_display():
         chart.index("p2"): -f2,
         chart.index("eps"): -(chart.sym("y") * (f1.diff("x1") + f2.diff("x2"))),
     })
-    assert forms_equal(pair.xi.as_multivector(), expected.as_multivector(), pts, 1e-12)
+    assert forms_equal(pair.xi, expected, pts, 1e-12)
 
 
 def test_xi_q_closed_form_gives_zero_field():
@@ -153,6 +153,27 @@ def test_xi_general_logs_its_decision(caplog):
                         f"against tol 1e-09, rank deficiency 0 over 10 points")
 
 
+def test_xi_general_rejects_an_empty_point_list():
+    chart = weyl_chart(2, 1)
+    with pytest.raises(ValueError):
+        xi_general(chart.d_coord("y").scale(chart.sym("eps")), [])
+
+
+def test_verify_rejects_an_empty_point_list():
+    chart = weyl_chart(2, 1)
+    pair = xi_q(q_position(chart, 1, [chart.parse("x1"), chart.parse("x2^2")]))
+    with pytest.raises(ValueError):
+        pair.verify([])
+
+
+def test_is_admissible_rejects_an_empty_point_list():
+    chart = weyl_chart(2, 1)
+    scalar = chart.zero_form(chart.sym("y"))
+    assert is_admissible(scalar, probes(chart, np.random.default_rng(2), 3))
+    with pytest.raises(ValueError):
+        is_admissible(scalar, [])
+
+
 def test_xi_general_matches_closed_form_pointwise():
     chart = weyl_chart(2, 1)
     rng = np.random.default_rng(2)
@@ -179,7 +200,7 @@ def test_xi_p_scalar_field_display_on_curved_chart():
         chart.index("y"): f,
         chart.index("eps"): -(f.diff("x1") * chart.sym("p1") + f.diff("x2") * chart.sym("p2")),
     })
-    assert forms_equal(pair.xi.as_multivector(), expected.as_multivector(), pts, 1e-12)
+    assert forms_equal(pair.xi, expected, pts, 1e-12)
 
 
 def test_xi_p_constant_fiber_direction_is_itself():
@@ -197,7 +218,7 @@ def test_xi_p_base_rotation_picks_up_pi_correction():
     pair = verified(xi_p(xi_cfg), pts)
     correction = pi_field(chart, "x1", "x2")  # d xi^{x2}/d x1 = 1
     expected = xi_cfg - correction
-    assert forms_equal(pair.xi.as_multivector(), expected.as_multivector(), pts, 1e-10)
+    assert forms_equal(pair.xi, expected, pts, 1e-10)
 
 
 def test_pi_field_defining_relation():

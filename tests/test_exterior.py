@@ -5,7 +5,7 @@ import pytest
 
 from polyfield import expr as ex
 from polyfield.exterior import (
-    Form, VectorField, canonicalize, contract, exterior_derivative,
+    Form, Multivector, VectorField, canonicalize, contract, exterior_derivative,
     lie_derivative, wedge_vectors,
 )
 from polyfield.phase import full_chart, weyl_chart
@@ -124,6 +124,55 @@ def test_contract_full_degree_matches_determinant_pairing():
     X = wedge_vectors([VectorField(chart, v) for v in vs])
     got = contract(X, form).get(()).evaluate(env)
     assert got == pytest.approx(eval_on_vectors(form, vs, env), abs=1e-10)
+
+
+def dense_at(form, env):
+    """The form at a point as a dense antisymmetric numpy array."""
+    T = np.zeros((form.chart.dim,) * form.degree)
+    for K, c in form.coeffs.items():
+        value = float(c.evaluate(env))
+        for perm in itertools.permutations(range(form.degree)):
+            T[tuple(K[j] for j in perm)] = value * canonicalize(perm)[1]
+    return T
+
+
+@pytest.mark.parametrize("chart", [
+    full_chart(3, 2), full_chart(3, 2, density=ex.parse("1 + x1^2/2"))], ids=["flat", "curved"])
+def test_contract_field_into_omega_matches_numpy_interior_product(chart):
+    rng = np.random.default_rng(31)
+    omega = chart.multisymplectic_form()
+    for _ in range(4):
+        X = VectorField(chart, {int(i): random_polynomial(chart, rng)
+                                for i in rng.choice(chart.dim, size=6, replace=False)})
+        res = contract(X, omega)
+        assert res.degree == omega.degree - 1
+        for _ in range(3):
+            env = chart.random_point(rng)
+            x = np.zeros(chart.dim)
+            for i, v in X.at(env).items():
+                x[i] = v
+            want = np.tensordot(x, dense_at(omega, env), axes=(0, 0))
+            assert np.max(np.abs(dense_at(res, env) - want)) <= 1e-10
+            assert np.max(np.abs(want)) > 0.0
+
+
+def test_vector_field_arithmetic_stays_a_field_and_wedges_are_multivectors():
+    chart = weyl_chart(2, 1)
+    X = VectorField(chart, {0: chart.parse("x2"), 2: ex.ONE, 3: ex.ZERO})
+    Y = VectorField(chart, {1: chart.parse("y"), 2: ex.Const(-1.0)})
+    assert isinstance(X, Multivector) and X.degree == 1
+    assert set(X.components) == {0, 2}  # the zero component is dropped
+    env = {"x1": 0.5, "x2": 2.0, "y": 3.0, "eps": 0.0, "p1": 0.0, "p2": 0.0}
+    for field, want in [(X + Y, {0: 2.0, 1: 3.0}), (X - Y, {0: 2.0, 1: -3.0, 2: 2.0}),
+                        (-X, {0: -2.0, 2: -1.0}), (X.scale(chart.parse("x1")), {0: 1.0, 2: 0.5}),
+                        (2.0 * X, {0: 4.0, 2: 2.0})]:
+        assert type(field) is VectorField
+        assert field.at(env) == pytest.approx(want)
+        assert all(type(i) is int for i in field.components)
+    assert X.component(1).is_zero() and X.component(2).evaluate({}) == 1.0
+    for mv in (X.wedge(Y), wedge_vectors([X, Y])):
+        assert type(mv) is Multivector and mv.degree == 2
+        assert mv.at(env) == pytest.approx({(0, 1): 6.0, (0, 2): -2.0, (1, 2): -3.0})
 
 
 def test_exterior_derivative_constant_form_vanishes():
