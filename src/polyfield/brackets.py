@@ -3,9 +3,11 @@
 An (n-1)-form a is bracketable when some vector field Xi(a) satisfies
 da = -Xi(a) . Omega with Omega the chart's closed (n+1)-form: one linear
 system whose column c is d/dc . Omega.  Its momentum columns are the
-canonical-form blocks, each with a primary index key of its own, so when
-da stays in their span the system is triangular and Xi comes out in closed
-form (``theta_basis_solve``).  Otherwise the system is evaluated point by
+canonical-form blocks, read off the chart's q-subset table; their index
+blocks are pairwise disjoint, so when da stays in their span the system is
+diagonal per momentum, with one equation for each presentation of it that
+the aliases must agree on, and Xi comes out in closed form
+(``theta_basis_solve``).  Otherwise the system is evaluated point by
 point: ``xi_general`` takes its least squares, ``HamiltonianPair.verify``
 its residual at a given field.
 
@@ -30,7 +32,7 @@ import logging
 
 import numpy as np
 
-from .expr import Expression, as_expr
+from .expr import ZERO, Expression, as_expr
 from .exterior import Form, VectorField, contract, exterior_derivative, lie_derivative, \
     merge_indices, wedge_vectors
 
@@ -54,8 +56,9 @@ class NotBracketable(BracketError):
     """The form admits no Hamiltonian vector field on this chart.
 
     ``residual``: the worst max |da + Xi . Omega| over the points checked
-    (None from the exact solve); ``stray``: the index blocks outside the
-    canonical-form span (from ``theta_basis_solve``)."""
+    (None from the exact solve); ``stray``: from ``theta_basis_solve``, the
+    index blocks outside the canonical-form span and the alias blocks whose
+    coefficient disagrees with their momentum's first presentation."""
 
     def __init__(self, message, residual=None, stray=()):
         super().__init__(message)
@@ -95,29 +98,31 @@ def theta_basis_solve(chart, rhs: Form) -> VectorField:
     """Solve sum_c xi_c * Theta_c = rhs for a momentum-directed vector field,
     where Theta_c is the derivative of the canonical n-form by momentum c.
 
-    The defining system on the momentum columns, solved exactly: xi_c is
-    the coefficient of rhs at Theta_c's primary key over Theta_c's own.
-    Raises NotBracketable, naming them in ``stray``, when rhs carries index
-    blocks outside the basis span.  The check is exact: a coefficient is
-    absent when ``Expression.is_zero`` holds for it, which never drops a
-    non-zero one, so a stray block is a genuine obstruction.
+    The defining system on the momentum columns, solved exactly through
+    the chart's q-subset table: xi_c is the coefficient of rhs at c's first
+    presentation over Theta_c's own there, and rhs at every other
+    presentation (alias) I of c must equal s_first * s_I times it.  Raises
+    NotBracketable, naming them in ``stray``, when rhs carries index blocks
+    that present no momentum or aliases that disagree.  The check is exact:
+    a coefficient is absent when ``Expression.is_zero`` holds for it, which
+    never drops a non-zero one, so a stray block is a genuine obstruction.
     """
     if rhs.degree != chart.n:
         raise ValueError("theta-basis solve expects an n-form")
-    basis = chart.theta_basis()
-    covered = set()
-    for _, block, _, _ in basis:
-        covered.update(block.coeffs)
-    stray = [key for key in rhs.coeffs if key not in covered]
+    stray = [key for key in rhs.coeffs if chart.resolve_qsubset(key)[0] is None]
+    comps = {}
+    for mc, (idx, block) in zip(chart.momenta, chart.theta_basis()):
+        (first, s_first), *aliases = mc.presentations
+        c = rhs.coeffs.get(first, ZERO)
+        for I, s in aliases:
+            if not (rhs.coeffs.get(I, ZERO) - (c if s_first * s > 0 else -c)).is_zero():
+                stray.append(I)
+        if first in rhs.coeffs:
+            comps[idx] = c / block.coeffs[first]
     if stray:
         names = ["^".join(chart.names[i] for i in key) for key in stray]
         raise NotBracketable(f"components outside the canonical-form span: {names}",
                              stray=names)
-    comps = {}
-    for idx, _, primary, lam in basis:
-        c = rhs.coeffs.get(primary)
-        if c is not None:
-            comps[idx] = c / lam
     return VectorField(chart, comps)
 
 
@@ -336,23 +341,27 @@ def scalar_of_super(sf: SuperForm) -> Expression:
     return c
 
 
-def superize(a: Form, xi_solver=None, with_xi=True) -> SuperForm:
+def superize(a, with_xi=True) -> SuperForm:
     """Embed a (p-1)-form: sum of tau_{a_1}..tau_{a_{n-p}} dx^{a_1..} ^ a
     over increasing base subsets, with the component vector fields solved
-    per block (``xi_solver(S, block)`` returns the block's VectorField in
-    place of the default configuration-form solve, e.g. for momentum-valued
-    blocks).
+    per block by ``xi_q``.  A HamiltonianPair embeds its (n-1)-form as the
+    one tau-free block and keeps its own field (e.g. for a momentum form).
 
     Each block must be bracketable on the chart.  On a Weyl chart, which
     keeps only single-fiber momenta, a form whose blocks need a multi-fiber
     momentum raises NotBracketable: y1 dy2 for n = 3 gives the block
     dx1 ^ y1 dy2, whose differential dx1 ^ dy1 ^ dy2 pairs with no stored
     momentum."""
+    pair = a if isinstance(a, HamiltonianPair) else None
+    if pair is not None:
+        a = pair.form
     chart = a.chart
     n = chart.n
     taus = n - a.degree - 1
     if taus < 0:
         raise ValueError("superize expects degree at most n-1")
+    if pair is not None and taus:
+        raise ValueError("a Hamiltonian pair embeds as an (n-1)-form")
     from itertools import combinations
     parts, xis = {}, {}
     for S in combinations(range(1, n + 1), taus):
@@ -365,7 +374,7 @@ def superize(a: Form, xi_solver=None, with_xi=True) -> SuperForm:
         if block.is_zero():
             xis[S] = VectorField(chart, {})
             continue
-        xis[S] = xi_q(block).xi if xi_solver is None else xi_solver(S, block)
+        xis[S] = xi_q(block).xi if pair is None else pair.xi
     return SuperForm(chart, parts, xis if with_xi else None)
 
 
@@ -404,22 +413,17 @@ def xi_tau_scalar(A: SuperForm):
             if not xi.component(alpha - 1).is_zero()}
 
 
-def is_admissible(a: Form, points) -> bool:
-    """A lower-degree form is admissible when its superform's vector fields
-    have no base components (above 1e-10) at any of the points; raises
-    ValueError when given no points."""
-    _require_points(points)
+def is_admissible(a) -> bool:
+    """A lower-degree form (or a HamiltonianPair) is admissible when its
+    superform's vector fields have no base components.  Decided exactly: a
+    field keeps a component only when ``Expression.is_zero`` fails for it.
+    The blocks of a form are solved by ``xi_q``, whose fields are momentum
+    directed, so a base component comes from a pair's own field."""
     sf = superize(a)
-    for xi in sf.xi.values():
-        for i, comp in xi.components.items():
-            if sf.chart.is_base(i):
-                for env in points:
-                    if abs(float(comp.evaluate(env))) > 1e-10:
-                        return False
-    return True
+    return not any(sf.chart.is_base(i) for xi in sf.xi.values() for i in xi.components)
 
 
-def h_omega_bracket(hamiltonian, a, xi_solver=None) -> Form:
+def h_omega_bracket(hamiltonian, a) -> Form:
     """Bracket of the Hamiltonian n-form with an observable.
 
     For an (n-1)-form (or a ready HamiltonianPair) this is the n-form
@@ -431,10 +435,10 @@ def h_omega_bracket(hamiltonian, a, xi_solver=None) -> Form:
     chart = a.chart
     psi = chart.volume_form().scale(as_expr(hamiltonian))
     if isinstance(a, Form) and a.degree == chart.n - 1:
-        a = xi_q(a) if xi_solver is None else HamiltonianPair(a, xi_solver((), a))
+        a = xi_q(a)
     if isinstance(a, HamiltonianPair):
         return external_bracket(psi, a)
-    sf = superize(a, xi_solver=xi_solver)
+    sf = superize(a)
     dpsi = exterior_derivative(psi)
     total = None
     for S, xi in sf.xi.items():

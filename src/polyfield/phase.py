@@ -42,11 +42,12 @@ __all__ = [
 class MomentumCoord:
     """One stored momentum coordinate.
 
-    ``theta_terms`` lists (fiber indices, base slots, sign) triples: the
-    coordinate enters the canonical n-form as coord * sum of signed wedge
-    blocks.  ``presentations`` lists (q-subset, sign) pairs: the completely
-    antisymmetric component over that canonical q-subset equals sign times
-    the stored coordinate.
+    ``theta_terms`` lists the (fiber indices, base slots, sign) triples the
+    coordinate is specified by: it enters the canonical n-form as coord *
+    sum of signed wedge blocks (dy^{i1} ^ d_{a1}) . ... . omega.
+    ``presentations`` is that sum read off as (q-subset, sign) pairs: the
+    completely antisymmetric component over that canonical q-subset equals
+    sign times the stored coordinate.  The chart builds theta from it.
     """
 
     name: str
@@ -197,23 +198,13 @@ class Chart:
         """d/dx^alpha . omega (alpha is 1-based)."""
         return contract(self.coordinate_field(self.base_names[alpha - 1]), self.volume_form())
 
-    def wedge_block(self, fiber, base) -> Form:
-        """(dy^{i1} ^ d_{a1}) . ... . omega for paired fiber/base tuples."""
-        out = self.volume_form()
-        for f, b in zip(reversed(fiber), reversed(base)):
-            out = contract(self.coordinate_field(self.base_names[b - 1]), out)
-            out = self.d_coord(self.fiber_names[f - 1]).wedge(out)
-        return out
-
     def theta(self) -> Form:
         """Canonical n-form: the sum of c * Theta_c over the momentum
         coordinates c (see ``theta_basis``)."""
         if self._theta is None:
-            total = None
-            for idx, block, _, _ in self.theta_basis():
-                term = block.scale(Sym(self.names[idx]))
-                total = term if total is None else total + term
-            self._theta = total
+            self._theta = Form(self, self.n, {
+                I: Sym(self.names[idx]) * coeff
+                for idx, block in self.theta_basis() for I, coeff in block.coeffs.items()})
         return self._theta
 
     def multisymplectic_form(self) -> Form:
@@ -223,34 +214,17 @@ class Chart:
         return self._omega_d
 
     def theta_basis(self):
-        """Per momentum coordinate c: (coord index, Theta_c, primary key,
-        primary coefficient), where Theta_c is the derivative of the
-        canonical n-form with respect to c.  The primary key is a
-        configuration-index n-tuple whose coefficient identifies c uniquely.
+        """Per momentum coordinate c: (coord index, Theta_c), where Theta_c,
+        the derivative of the canonical n-form by c, is read off the
+        q-subset table: g(x) times the sign of each presentation of c, with
+        g the volume density.  The blocks' keys are pairwise disjoint, since
+        the constructor rejects a q-subset presented twice.
         """
         if self._theta_basis is None:
-            rows = []
-            key_owner = {}
-            for mc in self.momenta:
-                block = None
-                for fiber, base, sign in mc.theta_terms:
-                    w = self.wedge_block(fiber, base)
-                    w = w if sign > 0 else -w
-                    block = w if block is None else block + w
-                for key in block.coeffs:
-                    key_owner.setdefault(key, []).append(mc.index)
-                rows.append((mc.index, block))
-            basis = []
-            for idx, block in rows:
-                primary = None
-                for key in sorted(block.coeffs):
-                    if key_owner[key] == [idx]:
-                        primary = key
-                        break
-                if primary is None:
-                    raise ValueError(f"no unique basis key for momentum {self.names[idx]}")
-                basis.append((idx, block, primary, block.coeffs[primary]))
-            self._theta_basis = tuple(basis)
+            g = self.density
+            self._theta_basis = tuple(
+                (mc.index, Form(self, self.n, {I: g if s > 0 else -g for I, s in mc.presentations}))
+                for mc in self.momenta)
         return self._theta_basis
 
     def contract_omega_with(self, coord_index: int) -> Form:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyfield import expr as ex
-from polyfield.exterior import canonicalize
+from polyfield.exterior import canonicalize, contract
 from polyfield.phase import (
     chart_from_json, embed_form, embed_point, full_chart, maxwell_chart,
     restrict_weyl, weyl_chart,
@@ -194,13 +194,44 @@ def test_maxwell_theta_matches_paperless_display():
         assert (theta - expected).max_abs_at(env) <= 1e-12
 
 
-def test_theta_basis_primary_keys_unique():
+def wedge_block(chart, fiber, base):
+    """(dy^{i1} ^ d_{a1}) . ... . omega for paired fiber/base tuples: the base
+    fields contracted into the volume form, the fiber differentials wedged in."""
+    out = chart.volume_form()
+    for f, b in zip(reversed(fiber), reversed(base)):
+        out = contract(chart.coordinate_field(chart.base_names[b - 1]), out)
+        out = chart.d_coord(chart.fiber_names[f - 1]).wedge(out)
+    return out
+
+
+@pytest.mark.parametrize("chart", [
+    full_chart(3, 3, density=ex.parse("1 + x1^2/2 + x2*x3/4")),
+    full_chart(2, 2),
+    maxwell_chart(3),
+], ids=["curved_full_3_3", "full_2_2", "maxwell_3"])
+def test_theta_basis_matches_wedge_blocks(chart):
+    # Theta_c read off the q-subset table against the signed sum of wedge
+    # blocks of the momentum's specification, key for key and tree for tree
+    basis = chart.theta_basis()
+    assert [idx for idx, _ in basis] == [mc.index for mc in chart.momenta]
+    for mc, (_, block) in zip(chart.momenta, basis):
+        want = None
+        for fiber, base, sign in mc.theta_terms:
+            w = wedge_block(chart, fiber, base)
+            w = w if sign > 0 else -w
+            want = w if want is None else want + w
+        assert list(block.coeffs) == list(want.coeffs)
+        for key, coeff in block.coeffs.items():
+            assert type(coeff) is type(want.coeffs[key])
+            assert str(coeff) == str(want.coeffs[key])
+
+
+def test_theta_basis_blocks_partition_the_momentum_qsubsets():
     for chart in (full_chart(2, 2), weyl_chart(3, 2), maxwell_chart(3)):
-        basis = chart.theta_basis()
-        keys = [primary for _, _, primary, _ in basis]
-        assert len(keys) == len(set(keys))
-        for idx, block, primary, lam in basis:
-            assert primary in block.coeffs
+        keys = [set(block.coeffs) for _, block in chart.theta_basis()]
+        union = set().union(*keys)
+        assert len(union) == sum(len(k) for k in keys)
+        assert union == {I for I, _, _ in chart.canonical_momenta()}
 
 
 @pytest.mark.parametrize("chart", [
@@ -211,8 +242,8 @@ def test_theta_basis_primary_keys_unique():
 ], ids=["full_3_2", "curved_full_3_3", "curved_weyl_2_1", "maxwell_3"])
 def test_momentum_columns_of_omega_are_theta_blocks(chart):
     # d/dc . Omega = Theta_c exactly for every momentum c, which is what lets
-    # the defining system be solved triangularly through the primary keys
-    for idx, block, _, _ in chart.theta_basis():
+    # the defining system be solved diagonally per momentum
+    for idx, block in chart.theta_basis():
         column = chart.contract_omega_with(idx)
         assert set(column.coeffs) == set(block.coeffs)
         for key, coeff in block.coeffs.items():
