@@ -7,9 +7,9 @@ canonical-form blocks, read off the chart's q-subset table; their index
 blocks are pairwise disjoint, so when da stays in their span the system is
 diagonal per momentum, with one equation for each presentation of it that
 the aliases must agree on, and Xi comes out in closed form
-(``theta_basis_solve``).  Otherwise the system is evaluated point by
-point: ``xi_general`` takes its least squares, ``HamiltonianPair.verify``
-its residual at a given field.
+(``theta_basis_solve``).  Otherwise the system is evaluated over the batch
+of probe points: ``xi_general`` takes its least squares at each point,
+``HamiltonianPair.verify`` its residual at a given field.
 
 Brackets:
 
@@ -76,16 +76,14 @@ class HamiltonianPair:
 
     def verify(self, points, tol=1e-9) -> float:
         """Worst max |da + Xi . Omega| over the points, from the defining
-        system at each point; raises NotBracketable above ``tol`` and
-        ValueError when given no points."""
+        system evaluated once over the batch; raises NotBracketable above
+        ``tol`` and ValueError when given no points."""
         _require_points(points)
-        da = exterior_derivative(self.form)
-        worst = 0.0
-        for env in points:
-            A, b = _defining_system(self.chart, da, env)
-            at = self.xi.at(env)
-            xi = np.array([at.get(i, 0.0) for i in range(self.chart.dim)])
-            worst = max(worst, _max_abs(A @ xi + b))
+        A, b = _defining_system(self.chart, exterior_derivative(self.form), points)
+        xi = np.zeros((len(points), self.chart.dim))
+        for i, c in self.xi.at(_batch_env(points)).items():
+            xi[:, i] = c
+        worst = max(_residuals(A, b, xi))
         if worst > tol:
             raise NotBracketable(f"defining residual {worst:.3e} exceeds {tol:g}", residual=worst)
         return worst
@@ -152,22 +150,35 @@ def pi_field(chart, nu: str, mu: str) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# the defining system at a point
+# the defining system over a batch of points
 
-def _defining_system(chart, da: Form, env):
-    """da = -Xi . Omega at one point as A xi = -b: column c of A holds the
-    values of d/dc . Omega and b those of da, over the union of their index
-    blocks."""
+def _batch_env(points):
+    """One env of equal-shaped arrays, one entry per point, for a list of
+    point dicts."""
+    return {name: np.array([pt[name] for pt in points], dtype=float) for name in points[0]}
+
+
+def _defining_system(chart, da: Form, points):
+    """da = -Xi . Omega at every point as A[p] xi = -b[p]: column c of A[p]
+    holds the values of d/dc . Omega and b[p] those of da at point p, over
+    the union of their index blocks.  Returns A of shape (points, rows,
+    dim) and b of shape (points, rows).
+
+    Each distinct coefficient object is evaluated once, over the whole
+    batch: the Omega columns repeat the density in many entries."""
     columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
     keys = sorted(set(da.coeffs) | {k for col in columns for k in col.coeffs})
     key_row = {k: r for r, k in enumerate(keys)}
-    A = np.zeros((len(keys), chart.dim))
+    env = _batch_env(points)
+    distinct = {id(coeff): coeff for form in columns + [da] for coeff in form.coeffs.values()}
+    values = {i: coeff.evaluate(env) for i, coeff in distinct.items()}
+    A = np.zeros((len(points), len(keys), chart.dim))
     for c, col in enumerate(columns):
         for k, coeff in col.coeffs.items():
-            A[key_row[k], c] = float(coeff.evaluate(env))
-    b = np.zeros(len(keys))
+            A[:, key_row[k], c] = values[id(coeff)]
+    b = np.zeros((len(points), len(keys)))
     for k, coeff in da.coeffs.items():
-        b[key_row[k]] = float(coeff.evaluate(env))
+        b[:, key_row[k]] = values[id(coeff)]
     return A, b
 
 
@@ -176,23 +187,27 @@ def _require_points(points):
         raise ValueError("no points to check the defining relation at")
 
 
-def _max_abs(v) -> float:
-    return float(np.max(np.abs(v))) if len(v) else 0.0
+def _residuals(A, b, xi):
+    """max |A[p] xi[p] + b[p]| for each point p."""
+    return [float(np.max(np.abs(Ap @ x + bp))) if len(bp) else 0.0
+            for Ap, x, bp in zip(A, xi, b)]
 
 
-def _lstsq_xi(chart, da: Form, env):
-    """Least-squares xi of the defining system at one point: (components,
-    max |A xi + b|, rank of A)."""
-    A, b = _defining_system(chart, da, env)
-    sol, _, rank, _ = np.linalg.lstsq(A, -b, rcond=None)
-    comps = {i: float(v) for i, v in enumerate(sol) if abs(v) > 0.0}
-    return comps, _max_abs(A @ sol + b), rank
+def _lstsq_xi(chart, da: Form, points):
+    """Least-squares xi of the defining system at each point of the batch:
+    (solutions of shape (points, dim), max |A xi + b| per point, rank of A
+    per point)."""
+    A, b = _defining_system(chart, da, points)
+    solved = [np.linalg.lstsq(Ap, -bp, rcond=None) for Ap, bp in zip(A, b)]
+    sols = np.array([s[0] for s in solved])
+    return sols, _residuals(A, b, sols), [s[2] for s in solved]
 
 
 class PointwiseXi:
     """Vector field known only through per-point least squares against the
     defining relation; carries the worst residual and rank over the probe
-    points used to accept it."""
+    points used to accept it.  ``solve_at`` solves at one more point, as a
+    batch of one."""
 
     def __init__(self, form: Form, residual: float, rank_deficient: bool):
         self.form = form
@@ -205,24 +220,21 @@ class PointwiseXi:
         """(components, residual) of the least-squares solve at one point."""
         if self._da is None:
             self._da = exterior_derivative(self.form)
-        comps, res, _ = _lstsq_xi(self.chart, self._da, env)
-        return comps, res
+        (sol,), (res,), _ = _lstsq_xi(self.chart, self._da, [env])
+        return {i: float(v) for i, v in enumerate(sol) if abs(v) > 0.0}, res
 
 
 def xi_general(a: Form, points, tol=1e-9) -> PointwiseXi:
-    """Pointwise least squares of the defining system.  Accepts the form
-    when the residual stays below ``tol`` at every probe point; otherwise
-    raises NotBracketable carrying the worst residual, and ValueError when
-    given no points.  Rank deficiency of the solve is reported on the
-    result rather than assumed away.  The decision is logged at debug level
-    on ``polyfield.brackets``."""
+    """Least squares of the defining system at each point, with the system
+    evaluated once over the batch of probe points.  Accepts the form when
+    the residual stays below ``tol`` at every probe point; otherwise raises
+    NotBracketable carrying the worst residual, and ValueError when given
+    no points.  Rank deficiency of the solve is reported on the result
+    rather than assumed away.  The decision is logged at debug level on
+    ``polyfield.brackets``."""
     _require_points(points)
-    da = exterior_derivative(a)
-    worst, deficiency = 0.0, 0
-    for env in points:
-        _, res, rank = _lstsq_xi(a.chart, da, env)
-        worst = max(worst, res)
-        deficiency = max(deficiency, a.chart.dim - rank)
+    _, residuals, ranks = _lstsq_xi(a.chart, exterior_derivative(a), points)
+    worst, deficiency = max(residuals), a.chart.dim - int(min(ranks))
     log.debug("xi_general %s: worst residual %.3e against tol %g, rank deficiency %d "
               "over %d points", "rejected" if worst > tol else "accepted", worst, tol,
               deficiency, len(points))

@@ -400,7 +400,17 @@ class Opaque(Expression):
         return frozenset(self.jet.symbols)
 
     def evaluate(self, env):
-        return self.jet.value(env)
+        """The jet's value; over an env of equally-shaped arrays, its value
+        at each point (the jet itself only takes scalar envs).  Only the
+        first entry is inspected, so that a scalar env pays no scan."""
+        first = next(iter(env.values()), None)
+        if not isinstance(first, np.ndarray) or not first.ndim:
+            return self.jet.value(env)
+        out = np.empty(first.shape)
+        for idx in np.ndindex(first.shape):
+            out[idx] = self.jet.value({k: float(v[idx]) if np.ndim(v) else v
+                                       for k, v in env.items()})
+        return out
 
     def diff(self, name):
         if name not in self.jet.symbols:
@@ -637,10 +647,11 @@ def opaque(jet) -> Expression:
 class OpaqueJet:
     """Evaluation contract for coefficients with no closed form.
 
-    ``value(env)`` returns a float; ``partial(name)`` returns another jet for
-    the exact partial derivative.  ``order`` is the number of derivative
-    levels still available; reaching 0 makes further differentiation an
-    error.
+    ``value(env)`` takes an env of scalars, one point, and returns a float
+    (``Opaque.evaluate`` maps it over a batch); ``partial(name)`` returns
+    another jet for the exact partial derivative.  ``order`` is the number
+    of derivative levels still available; reaching 0 makes further
+    differentiation an error.
     """
 
     name = "jet"

@@ -238,8 +238,9 @@ class VectorField(Multivector):
         return self.coeffs.get((i,), ex.ZERO)
 
     def at(self, env):
-        """Evaluate all components; returns {coordinate position: float}."""
-        return {k[0]: float(c.evaluate(env)) for k, c in self.coeffs.items()}
+        """Evaluate all components; returns {coordinate position: value},
+        arrays when ``env`` holds a batch of points."""
+        return {k[0]: c.evaluate(env) for k, c in self.coeffs.items()}
 
     def apply(self, f: Expression) -> Expression:
         """Directional derivative of a scalar expression."""

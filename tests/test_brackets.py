@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from polyfield import brackets
 from polyfield import expr as ex
 from polyfield.brackets import (
     BracketError, HamiltonianPair, SuperForm, NotBracketable, eta_slice, external_bracket,
@@ -225,6 +226,116 @@ def test_verify_rejects_an_empty_point_list():
     pair = xi_q(q_position(chart, 1, [chart.parse("x1"), chart.parse("x2^2")]))
     with pytest.raises(ValueError):
         pair.verify([])
+
+
+# -- the defining system over a batch of points ----------------------------------
+
+BATCH_CHARTS = {
+    "curved_full_3_3": lambda: full_chart(3, 3, density=ex.parse("1 + x1^2/2 + x2*x3/4")),
+    "full_3_2": lambda: full_chart(3, 2),
+    "maxwell_3": lambda: maxwell_chart(3),
+    "curved_weyl_2_1": lambda: weyl_chart(2, 1, density=ex.parse("1 + x1^2/2")),
+}
+
+
+def per_point_system(chart, da, env):
+    """Reference for ``_defining_system``: the system at one point, entry by
+    entry over the Omega columns with a scalar env."""
+    columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
+    keys = sorted(set(da.coeffs) | {k for col in columns for k in col.coeffs})
+    A, b = np.zeros((len(keys), chart.dim)), np.zeros(len(keys))
+    for r, key in enumerate(keys):
+        for c, col in enumerate(columns):
+            if key in col.coeffs:
+                A[r, c] = float(col.coeffs[key].evaluate(env))
+        if key in da.coeffs:
+            b[r] = float(da.coeffs[key].evaluate(env))
+    return A, b
+
+
+def eps_form(chart, rng):
+    """A random configuration (n-1)-form plus c eps dx_1 ^ .. ^ dx_{n-2} ^ dy:
+    d(eps) ^ dx ^ dy is in no Omega column, so the form is not bracketable."""
+    block = chart.d_coord(chart.fiber_names[0])
+    for name in reversed(chart.base_names[:chart.n - 2]):
+        block = chart.d_coord(name).wedge(block)
+    return random_q_form(chart, rng) + block.scale(chart.sym("eps") * float(rng.uniform(0.5, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CHARTS))
+def test_batched_defining_system_equals_the_per_point_loop(name):
+    chart = BATCH_CHARTS[name]()
+    rng = np.random.default_rng(60)
+    pts = probes(chart, rng, 8)
+    for form in [random_q_form(chart, rng) for _ in range(3)] + [eps_form(chart, rng)]:
+        da = exterior_derivative(form)
+        A, b = brackets._defining_system(chart, da, pts)
+        assert A.shape[::2] == (len(pts), chart.dim) and b.shape == A.shape[:2]
+        for p, env in enumerate(pts):
+            A_ref, b_ref = per_point_system(chart, da, env)
+            assert np.array_equal(A[p], A_ref) and np.array_equal(b[p], b_ref)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CHARTS))
+def test_xi_general_decision_matches_per_point_lstsq(name):
+    chart = BATCH_CHARTS[name]()
+    rng = np.random.default_rng(61)
+    pts = probes(chart, rng, 8)
+    decisions = []
+    for form in [random_q_form(chart, rng) for _ in range(2)] + [eps_form(chart, rng)]:
+        da = exterior_derivative(form)
+        worst, rank = 0.0, chart.dim
+        for env in pts:
+            A, b = per_point_system(chart, da, env)
+            sol, _, r, _ = np.linalg.lstsq(A, -b, rcond=None)
+            worst, rank = max(worst, float(np.max(np.abs(A @ sol + b)))), min(rank, r)
+        try:
+            got = xi_general(form, pts)
+        except NotBracketable as refusal:
+            assert worst > 1e-9
+            assert refusal.residual == worst
+            decisions.append("rejected")
+            continue
+        assert worst <= 1e-9
+        assert got.residual == worst
+        assert got.rank_deficient == (rank < chart.dim)
+        decisions.append("accepted")
+    assert decisions[-1] == "rejected"
+
+
+def test_a_zero_denominator_anywhere_in_the_batch_raises():
+    chart = full_chart(3, 2)
+    rng = np.random.default_rng(62)
+    pts = probes(chart, rng, 8)
+    form = chart.omega_alpha(3).scale(chart.parse("y1/x1"))
+    xi_general(form, pts)
+    pts[5]["x1"] = 0.0
+    with pytest.raises(ex.EvalDomainError):
+        brackets._defining_system(chart, exterior_derivative(form), [pts[5]])
+    with pytest.raises(ex.EvalDomainError):
+        xi_general(form, pts)
+    with pytest.raises(ex.EvalDomainError):
+        xi_q(form).verify(pts)
+
+
+@pytest.mark.parametrize("count", [8, 32])
+def test_one_defining_system_per_point_batch(monkeypatch, count):
+    chart = full_chart(3, 2)
+    rng = np.random.default_rng(63)
+    pts = probes(chart, rng, count)
+    form = random_q_form(chart, rng)
+    calls = []
+    system = brackets._defining_system
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return system(*args)
+
+    monkeypatch.setattr(brackets, "_defining_system", counted)
+    xi_general(form, pts)
+    assert calls == [count]
+    xi_q(form).verify(pts)
+    assert calls == [count, count]
 
 
 def test_xi_general_matches_closed_form_pointwise():

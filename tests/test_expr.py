@@ -187,6 +187,19 @@ def test_opaque_jet_inside_expression_tree():
     assert d.evaluate(env) == pytest.approx(2 * 1.5 * 0.5 * 1.5 + 1.5 ** 2 * 0.5)
 
 
+def test_opaque_jet_evaluates_over_an_array_env():
+    # the jet's value takes one point of scalars (math.sin refuses arrays);
+    # the leaf maps it over the batch
+    jet = FunctionJet("g", ("u", "w"), lambda env: math.sin(env["u"]) * env["w"])
+    e = expr.opaque(jet) * Sym("u") + Const(1.0)
+    rng = np.random.default_rng(6)
+    points = [{"u": float(u), "w": float(w)} for u, w in rng.uniform(-1, 1, (5, 2))]
+    batch = {nm: np.array([pt[nm] for pt in points]) for nm in ("u", "w")}
+    got = e.evaluate(batch)
+    assert got.shape == (5,)
+    assert np.array_equal(got, [e.evaluate(pt) for pt in points])
+
+
 @pytest.mark.parametrize("source", [
     "a - a",
     "a + (-a)",

@@ -214,6 +214,20 @@ def test_envelope_gradient_against_finite_differences():
             assert abs(an - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def test_envelope_hamiltonian_evaluates_over_a_batch():
+    # the velocity cache is keyed by scalar coordinates; the opaque leaf
+    # hands the envelope one point at a time
+    chart = full_chart(2, 1)
+    H = EnvelopeHamiltonian(kg_lagrangian(chart, mass=0.7))
+    rng = np.random.default_rng(14)
+    pts = [chart.random_point(rng) for _ in range(6)]
+    batch = {nm: np.array([pt[nm] for pt in pts]) for nm in chart.names}
+    e = ex.opaque(H) * chart.sym("x1") + ex.opaque(H.partial("p1"))
+    got = e.evaluate(batch)
+    assert got.shape == (6,)
+    assert np.array_equal(got, [e.evaluate(pt) for pt in pts])
+
+
 def test_envelope_dh_deps_is_one():
     chart = weyl_chart(2, 2)
     L = Lagrangian.parse(chart, "v1_1^2/2 + v2_2^2/2 + v1_2^2/2 + v2_1^2/2 - y1^4/4")
