@@ -5,8 +5,9 @@
 ``legendre`` solves the Legendre correspondence of a Lagrangian at one point
 of a chart, drawn from the seed with every coordinate uniform in [-1, 1],
 and prints the velocity, the envelope Hamiltonian H, the Newton report
-(steps, residual, velocity Hessian condition) and the velocity cache
-counters.  Chart specs are ``full:n,k``, ``weyl:n,k`` and ``maxwell:n``.
+(steps, residual, velocity Hessian condition), the determinant kernel of
+the pairing minors and the velocity cache counters.  Chart specs are
+``full:n,k``, ``weyl:n,k`` and ``maxwell:n``.
 Exit status 2 means bad input; 1 means the solve failed at the point (a
 singular velocity Hessian, no convergence, or L undefined there).
 """
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .expr import ExprError
-from .legendre import EnvelopeHamiltonian, Lagrangian, LegendreError
+from .legendre import EnvelopeHamiltonian, Lagrangian, LegendreError, minor_kernel
 from .phase import full_chart, maxwell_chart, weyl_chart
 
 CHARTS = {"full": (full_chart, 2), "weyl": (weyl_chart, 2), "maxwell": (maxwell_chart, 1)}
@@ -68,6 +69,7 @@ def _legendre(args) -> int:
     print(f"H = {h:.15g}")
     print(f"newton: iterations {rep.iterations}, residual {rep.residual:.3e}, "
           f"hessian condition {rep.condition:.3e}")
+    print(f"minors: {minor_kernel(chart.n)}")
     print("cache: " + ", ".join(f"{k} {n}" for k, n in H.cache_stats.items()))
     return 0
 

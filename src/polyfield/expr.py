@@ -267,7 +267,8 @@ class Div(_Binary):
 
     def evaluate(self, env):
         den = self.b.evaluate(env)
-        if np.any(den == 0.0):
+        # np.any on a scalar costs more than the division it guards
+        if (den == 0.0) if isinstance(den, float) else np.any(den == 0.0):
             raise EvalDomainError(f"division by zero in {to_source(self)}")
         return self.a.evaluate(env) / den
 

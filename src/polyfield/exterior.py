@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from . import expr as ex
 from .expr import Expression, as_expr
 
@@ -174,10 +176,10 @@ class _Graded:
         return {k: v.evaluate(env) for k, v in self.coeffs.items()}
 
     def max_abs_at(self, env) -> float:
-        m = 0.0
-        for v in self.coeffs.values():
-            m = max(m, abs(float(v.evaluate(env))))
-        return m
+        """Largest |coefficient| at the point, or over the batch when the
+        env holds equally-shaped arrays."""
+        return max((float(np.max(np.abs(v.evaluate(env)))) for v in self.coeffs.values()),
+                   default=0.0)
 
     def terms(self):
         for k in sorted(self.coeffs):

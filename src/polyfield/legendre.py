@@ -15,21 +15,26 @@ covariant conventions of the example systems.
 Every pairing quantity is a signed sum of n x n minors of the frame
 z = [1; v] over the canonical q-subsets, with no column, one (v-gradient,
 Hamiltonian tensor) or two (v-Hessian) replaced by coordinate directions.
-One kernel serves them all: it takes one ``np.linalg.det`` over the
-(patterns, momenta, n, n) stack of these minors, with tables built per
-chart on first use, and contracts it with signed momentum values (or, for
-dH/dp, with the signs of one coordinate).
+One kernel serves them all: it gathers the (patterns, momenta, n, n) stack
+of these minors with tables built per chart on first use, takes their
+determinants in closed form for n <= 4 (the string, the scalar fields,
+Maxwell) and by ``np.linalg.det`` above, and contracts them with signed
+momentum values.
 
 The Hamiltonian H(q, p) = W(q, V(q, p), p) differentiates through the
 envelope identities: the critical-point condition kills the dV terms, so
 dH needs only the explicit q-derivative of L and the velocity minors.  No
-derivative of the iterative solve is ever taken.
+derivative of the iterative solve is ever taken, and dH/dp is the pairing
+minors summed per momentum, so one solve and one stack serve H and its
+partials at a point.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import OrderedDict, namedtuple
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +45,7 @@ __all__ = [
     "Lagrangian", "LegendreError", "SingularHessian", "NoConvergence",
     "ConstraintViolation", "velocity_name", "pairing", "generating_w",
     "legendre_solve", "SolveReport", "weyl_legendre", "EnvelopeHamiltonian",
-    "hamiltonian_tensor", "stress_energy",
+    "hamiltonian_tensor", "stress_energy", "minor_kernel",
 ]
 
 log = logging.getLogger("polyfield.legendre")
@@ -74,15 +79,18 @@ class Lagrangian:
     def __init__(self, chart, expression: Expression):
         self.chart = chart
         self.expression = as_expr(expression)
-        self.v_names = tuple(
-            tuple(velocity_name(chart, a, i) for a in range(1, chart.n + 1))
-            for i in range(1, chart.k + 1))
-        self._flat = [nm for row in self.v_names for nm in row]
+        self._flat = [velocity_name(chart, a, i)
+                      for i in range(1, chart.k + 1) for a in range(1, chart.n + 1)]
         allowed = set(chart.base_names) | set(chart.fiber_names) | set(self._flat)
         unknown = self.expression.free_symbols() - allowed
         if unknown:
             raise ValueError(f"Lagrangian uses non-configuration symbols {sorted(unknown)}")
         self._derivs = {}
+        # flat derivative lists, in the order of the arrays they fill, taken on first use
+        self._names = {"dq": [(nm,) for nm in chart.base_names + chart.fiber_names],
+                       "dv": [(nm,) for nm in self._flat],
+                       "d2v": [(a, b) for a in self._flat for b in self._flat]}
+        self._lists = {}
 
     @classmethod
     def parse(cls, chart, text: str) -> "Lagrangian":
@@ -103,64 +111,91 @@ class Lagrangian:
             self._derivs[names] = inner.diff(names[-1])
         return self._derivs[names]
 
-    def dv(self, pt, v) -> np.ndarray:
+    def _evaluate(self, which, pt, v) -> np.ndarray:
+        if which not in self._lists:
+            self._lists[which] = [self.derivative(*names) for names in self._names[which]]
         env = self._env(pt, v)
-        return np.array([[float(self.derivative(nm).evaluate(env)) for nm in row]
-                         for row in self.v_names])
+        return np.array([e.evaluate(env) for e in self._lists[which]], dtype=float)
+
+    def dv(self, pt, v) -> np.ndarray:
+        return self._evaluate("dv", pt, v).reshape(self.chart.k, self.chart.n)
 
     def d2v(self, pt, v) -> np.ndarray:
         """Velocity Hessian, flattened over (i, a) pairs."""
-        env = self._env(pt, v)
-        return np.array([[float(self.derivative(a, b).evaluate(env)) for b in self._flat]
-                         for a in self._flat])
+        return self._evaluate("d2v", pt, v).reshape(len(self._flat), -1)
 
 
-_Tables = namedtuple("_Tables", "rows coords signs groups d2v_slots frame")
+_Tables = namedtuple("_Tables", "coords signs names groups frame")
+
+
+def minor_kernel(n: int) -> str:
+    """The determinant kernel ``_det`` uses for n x n minors."""
+    return f"closed form n={n}" if n <= 4 else f"LAPACK det n={n}"
+
+
+def _det(m) -> np.ndarray:
+    """Determinants over the last two axes: products for n <= 3, a Laplace
+    expansion along the first row over 3 x 3 cofactors for n = 4."""
+    n = m.shape[-1]
+    if n == 1:
+        return m[..., 0, 0]
+    if n == 2:
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if n == 3:
+        a, b, c, d, e, f, g, h, i = m.reshape(-1, 9).T
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return det.reshape(m.shape[:-2])
+    if n == 4:
+        rest = m[..., 1:, :]
+        return sum((-1) ** j * m[..., 0, j] * _det(rest[..., [c for c in range(4) if c != j]])
+                   for j in range(4))
+    return np.linalg.det(m)
 
 
 def _tables(chart) -> _Tables:
     """The kernel's tables, built on first use and kept on the chart: the
-    canonical q-subsets (rows) with their coordinates and signs, per pattern
-    group the kept columns ((patterns, 1, 1, n)) and put-in unit entries
-    ((patterns, momenta, n, n)) of the replaced minors, the flat slots of
-    the v-Hessian patterns, and the frame at v = 0 (copying it is several
-    times faster than stacking a new identity on every call)."""
+    coordinates, signs and names of the canonical q-subsets' momenta; per
+    pattern group, where in the flat frame each entry of each replaced minor
+    sits; and the flat frame at v = 0, z = [1; v] row by row and then the 0
+    and 1 of the replaced columns (copying it beats building it per call).
+    A v-Hessian pattern with a == b has column a zero, so its minors are 0."""
     if chart._minor_tables is None:
         n, k = chart.n, chart.k
         rows, coords, signs = map(np.array, zip(*chart.canonical_momenta()))
-        hess = [(i, a, j, b) for i in range(k) for a in range(n)
-                for j in range(k) for b in range(n) if a != b]
+        zero = (n + k) * n
         groups = {}
         for name, patterns in (("pairing", [()]),
                                ("dv", [((a, n + i),) for i in range(k) for a in range(n)]),
-                               ("d2v", [((a, n + i), (b, n + j)) for i, a, j, b in hess]),
+                               ("d2v", [((a, n + i), (b, n + j)) if a != b else ((a, -1),)
+                                        for i in range(k) for a in range(n)
+                                        for j in range(k) for b in range(n)]),
                                ("tensor", [((a, b),) for a in range(n) for b in range(n)])):
-            keep = np.ones((len(patterns), 1, 1, n))
-            unit = np.zeros((len(patterns), n + k, n))
+            at = np.empty((len(patterns),) + rows.shape + (n,), dtype=np.intp)
+            at[:] = rows[:, :, None] * n + np.arange(n)
             for p, replaced in enumerate(patterns):
                 for col, pos in replaced:
-                    keep[p, 0, 0, col], unit[p, pos, col] = 0.0, 1.0
-            groups[name] = keep, unit[:, rows]
-        slots = np.array([(i * n + a) * k * n + j * n + b for i, a, j, b in hess], dtype=np.intp)
-        chart._minor_tables = _Tables(rows, coords, signs.astype(float), groups, slots,
-                                      np.vstack((np.eye(n), np.zeros((k, n)))))
+                    at[p, :, :, col] = zero + (rows == pos)
+            groups[name] = at
+        frame = np.concatenate((np.eye(n).ravel(), np.zeros(k * n + 1), [1.0]))
+        chart._minor_tables = _Tables(coords, signs.astype(float),
+                                      [chart.names[c] for c in coords.tolist()], groups, frame)
+        log.debug("minor kernel for %r: %s", chart, minor_kernel(n))
     return chart._minor_tables
 
 
-def _minor_sums(chart, v, group, weights) -> np.ndarray:
-    """sum_m weights[m] * det(rows I_m of the frame, the pattern's columns
-    replaced) for every pattern of ``group``, in one det call."""
+def _minors(chart, v, group) -> np.ndarray:
+    """det(rows I_m of the frame, the pattern's columns replaced), of shape
+    (patterns, momenta), for every pattern of ``group``."""
     t = _tables(chart)
-    keep, unit = t.groups[group]
     z = t.frame.copy()
-    z[chart.n:] = np.asarray(v, dtype=float).reshape(chart.k, chart.n)
-    return np.linalg.det(z[t.rows] * keep + unit) @ weights
+    z[chart.n * chart.n:-2] = np.asarray(v, dtype=float).ravel()
+    return _det(z[t.groups[group]])
 
 
 def _paired(chart, pt, v, group) -> np.ndarray:
     """The point's momenta paired with every pattern of ``group``."""
     t = _tables(chart)
-    return _minor_sums(chart, v, group, t.signs * [pt[chart.names[c]] for c in t.coords.tolist()])
+    return _minors(chart, v, group) @ (t.signs * [pt[nm] for nm in t.names])
 
 
 def pairing(chart, pt, v) -> float:
@@ -177,10 +212,7 @@ def pairing_dv(chart, pt, v) -> np.ndarray:
 def pairing_d2v(chart, pt, v) -> np.ndarray:
     """Velocity Hessian of the pairing, flattened over (i, a) pairs: slots a
     and b replaced by fiber directions i and j, zero where a == b."""
-    kn = chart.k * chart.n
-    out = np.zeros(kn * kn)
-    out[_tables(chart).d2v_slots] = _paired(chart, pt, v, "d2v")
-    return out.reshape(kn, kn)
+    return _paired(chart, pt, v, "d2v").reshape(chart.k * chart.n, -1)
 
 
 def generating_w(L: Lagrangian, pt, v) -> float:
@@ -272,10 +304,13 @@ class EnvelopeHamiltonian(OpaqueJet):
     """H(q, p) = W(q, V(q, p), p) with gradient through the envelope
     identities; usable as an opaque-jet leaf in expressions.
 
-    Solved velocities are kept for the ``CACHE_SIZE`` most recently used
-    points, enough for the partials of one point to share its solve.
-    ``cache_stats`` counts hits, misses and evictions; ``last_report`` is the
-    ``SolveReport`` of the latest solve.
+    The velocity cache keeps a jet for each of the ``CACHE_SIZE`` most
+    recently used points: v, <p, v> and the row of dH.  One stack of pairing
+    minors gives <p, v> and the p-part; the q-part, -dL/dq, is filled on
+    first use, so H stays defined where dL/dq is not.  H and all its
+    partials at a point share one solve, and each of their reads is a
+    lookup.  ``cache_stats`` counts hits, misses and evictions;
+    ``last_report`` is the ``SolveReport`` of the latest solve.
     """
 
     CACHE_SIZE = 64
@@ -286,44 +321,57 @@ class EnvelopeHamiltonian(OpaqueJet):
         self.name = "H"
         self.symbols = tuple(L.chart.names)
         self.order = 1
+        self._key = itemgetter(*L.chart.names)  # the point's coordinates, as a tuple
         self._cache = OrderedDict()
         self._partials = {}
         self.cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
         self.last_report = None
 
     def solve_velocity(self, pt) -> np.ndarray:
-        key = tuple(pt[nm] for nm in self.chart.names)
+        """The velocity at ``pt``; its entry is then the most recently used."""
+        key = self._key(pt)
         stats = self.cache_stats
-        if key in self._cache:
+        jet = self._cache.get(key)
+        if jet is not None:
             self._cache.move_to_end(key)
             stats["hits"] += 1
         else:
             stats["misses"] += 1
-            self._cache[key], self.last_report = legendre_solve(self.L, pt)
+            v, self.last_report = legendre_solve(self.L, pt)
+            t = _tables(self.chart)
+            signed = _minors(self.chart, v, "pairing")[0] * t.signs
+            jet = self._cache[key] = SimpleNamespace(
+                v=v, pairing=float(signed @ [pt[nm] for nm in t.names]), q_filled=False,
+                dh=np.bincount(t.coords, signed, self.chart.dim))
             if len(self._cache) > self.CACHE_SIZE:
                 self._cache.popitem(last=False)
                 stats["evictions"] += 1
                 log.debug("velocity cache at %d points: evicted the least recently used "
                           "(%d evictions)", self.CACHE_SIZE, stats["evictions"])
-        return self._cache[key]
+        return jet.v
+
+    def _jet(self, pt, with_q=False) -> SimpleNamespace:
+        """The jet at ``pt`` after one counted lookup, its q-part filled if ``with_q``."""
+        self.solve_velocity(pt)
+        jet = next(reversed(self._cache.values()))
+        if with_q and not jet.q_filled:
+            jet.dh[:self.chart.n + self.chart.k] = -self.L._evaluate("dq", pt, jet.v)
+            jet.q_filled = True
+        return jet
 
     def value(self, pt) -> float:
-        v = self.solve_velocity(pt)
-        return pairing(self.chart, pt, v) - self.L.value(pt, v)
+        jet = self._jet(pt)
+        return jet.pairing - self.L.value(pt, jet.v)
 
     def partial(self, name) -> OpaqueJet:
         """dH/d``name``, one jet per coordinate, so that the same partial
         taken twice is the same expression atom."""
         if name not in self._partials:
-            chart, idx = self.chart, self.chart.index(name)
-            if chart.is_momentum(idx):
-                def val(pt):
-                    t, v = _tables(chart), self.solve_velocity(pt)
-                    return float(_minor_sums(chart, v, "pairing", t.signs * (t.coords == idx))[0])
-            else:
-                def val(pt):
-                    env = self.L._env(pt, self.solve_velocity(pt))
-                    return -float(self.L.derivative(name).evaluate(env))
+            idx = self.chart.index(name)
+            with_q = not self.chart.is_momentum(idx)
+
+            def val(pt):
+                return float(self._jet(pt, with_q).dh[idx])
             self._partials[name] = ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
         return self._partials[name]
 

@@ -22,8 +22,15 @@ def test_legendre_prints_solve_and_cache(capsys):
     assert np.allclose(printed, v, rtol=1e-10, atol=1e-12)
     assert f"newton: iterations {rep.iterations}, residual {rep.residual:.3e}" in out
     assert "hessian condition" in out
+    assert "minors: closed form n=3" in lines
     assert "cache: hits 1, misses 1, evictions 0" in out
     assert any(line.startswith("H = ") for line in lines)
+
+
+def test_legendre_names_the_lapack_kernel_above_four(capsys):
+    L = "v1^2/2 - v2^2/2 - v3^2/2 - v4^2/2 - v5^2/2 - y^2/2"
+    assert main(["legendre", "--chart", "weyl:5,1", "--lagrangian", L]) == 0
+    assert "minors: LAPACK det n=5" in capsys.readouterr().out.splitlines()
 
 
 def test_legendre_reports_singular_hessian(capsys):

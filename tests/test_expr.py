@@ -79,6 +79,16 @@ def test_evaluate_simple_and_division_by_zero():
         parse("x/y").evaluate({"x": 1.0, "y": 0.0})
 
 
+def test_division_by_zero_raises_for_scalar_and_batch_denominators():
+    # a scalar denominator takes the plain comparison, an array one np.any
+    e = parse("x/y")
+    for zero in (0.0, np.float64(0.0), 0j, np.array([1.0, 0.0])):
+        with pytest.raises(EvalDomainError):
+            e.evaluate({"x": 1.0, "y": zero})
+    assert e.evaluate({"x": 1.0, "y": np.float64(4.0)}) == 0.25
+    assert np.array_equal(e.evaluate({"x": 1.0, "y": np.array([2.0, 4.0])}), [0.5, 0.25])
+
+
 def test_evaluate_flat_kinetic_density():
     # Minkowski kinetic density 1/2*p1^2 - 1/2*p2^2 + 1/2*m^2*phi^2
     e = parse("1/2*p1^2 - 1/2*p2^2 + 1/2*phi^2")

@@ -254,3 +254,13 @@ def test_debug_rows_stable_order():
     a = Form(chart, 1, {(5,): ex.ONE, (0,): ex.Const(2.0)})
     rows = a.debug_rows()
     assert rows == [("x1", "2"), ("p1", "1")]
+
+
+def test_max_abs_at_takes_a_batch():
+    chart = full_chart(2, 1)
+    rng = np.random.default_rng(31)
+    form = random_form(chart, 2, rng) + Form(chart, 2, {(0, 1): ex.Const(-0.25)})
+    pts = [chart.random_point(rng) for _ in range(2)]
+    batch = {nm: np.array([pt[nm] for pt in pts]) for nm in chart.names}
+    assert form.max_abs_at(batch) == max(form.max_abs_at(pt) for pt in pts)
+    assert Form(chart, 2, {}).max_abs_at(batch) == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyfield import expr as ex
+from polyfield import legendre
 from polyfield.legendre import (
     ConstraintViolation, EnvelopeHamiltonian, Lagrangian, NoConvergence,
     SingularHessian, SolveReport, generating_w, hamiltonian_tensor, legendre_solve,
@@ -397,7 +398,8 @@ def kernel_point(chart, rng, multi=0.2):
 
 
 @pytest.mark.parametrize("chart", [full_chart(3, 2), full_chart(2, 3), weyl_chart(3, 2),
-                                   maxwell_chart(3), full_chart(1, 2)], ids=repr)
+                                   maxwell_chart(3), full_chart(1, 2), weyl_chart(4, 1),
+                                   maxwell_chart(4), weyl_chart(5, 1)], ids=repr)
 def test_kernel_matches_scalar_det_loops(chart):
     rng = np.random.default_rng(21)
     H = EnvelopeHamiltonian(kinetic_lagrangian(chart))
@@ -465,3 +467,111 @@ def test_legendre_solve_reports_newton_steps(caplog):
     H = EnvelopeHamiltonian(kg_lagrangian(weyl_chart(2, 1)))
     H.solve_velocity(weyl_chart(2, 1).point(p1=0.3))
     assert H.last_report.iterations == 1
+
+
+# -- the closed-form minor kernel and the per-point jet ------------------------
+
+def _subnormal_stack(n):
+    """Frames [1; v] with subnormal velocities, as the kernel stacks them:
+    identity minors with one subnormal entry, and all-subnormal minors."""
+    tiny = 2.2e-311
+    one = np.eye(n)
+    one[-1, -1] = tiny
+    off = np.eye(n)
+    off[0, -1] = tiny
+    return np.stack([one, off, np.full((n, n), tiny), tiny * np.eye(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_det_matches_lapack(n):
+    rng = np.random.default_rng(40 + n)
+    stack = rng.normal(size=(6, 5, n, n))
+    stack[0, 0, :, n - 1] = 0.0                    # zero column: exactly singular
+    stack[0, 1, n - 1] = stack[0, 1, 0]            # repeated row: singular for n >= 2
+    stack[1, :4] = _subnormal_stack(n)
+    got = legendre._det(stack)
+    with np.errstate(all="ignore"):                # LAPACK warns on the subnormals
+        want = np.linalg.det(stack)
+    assert got.shape == want.shape == (6, 5)
+    # 1e-12 relative to the Hadamard bound, the scale of the rounding error
+    # of any determinant; exact where that bound underflows
+    bound = np.prod(np.linalg.norm(stack, axis=-1), axis=-1)
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+    assert got[0, 0] == 0.0
+    assert n == 1 or np.abs(got[0, 1]) <= 1e-12 * bound[0, 1]
+    assert np.array_equal(got[1, :4], want[1, :4])
+    assert legendre.minor_kernel(n) == f"closed form n={n}"
+
+
+def test_det_above_four_is_lapack(monkeypatch):
+    lapack, calls = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or lapack(m))
+    stack = np.random.default_rng(45).normal(size=(3, 5, 5))
+    assert np.array_equal(legendre._det(stack), lapack(stack))
+    legendre._det(stack[:, :4, :4])
+    assert calls == [(3, 5, 5)]
+    assert legendre.minor_kernel(5) == "LAPACK det n=5"
+
+
+def test_tables_log_the_minor_kernel_once_per_chart(caplog):
+    with caplog.at_level(logging.DEBUG, logger="polyfield.legendre"):
+        for chart, want in ((full_chart(3, 2), "closed form n=3"),
+                            (weyl_chart(5, 1), "LAPACK det n=5")):
+            v = np.zeros((chart.k, chart.n))
+            pairing(chart, chart.point(), v)
+            pairing_d2v(chart, chart.point(), v)
+            records = [r.getMessage() for r in caplog.records if "minor kernel" in r.getMessage()]
+            assert records[-1] == f"minor kernel for {chart!r}: {want}"
+    assert len([r for r in caplog.records if "minor kernel" in r.getMessage()]) == 2
+
+
+def test_envelope_partials_read_one_solve_and_one_minor_stack(monkeypatch):
+    chart = full_chart(3, 2)
+    # q-dependence in base and fiber coordinates, with the kinetic Hessian
+    L = Lagrangian.parse(chart, "v1_1^2/2 - v2_1^2/2 - v3_1^2/2 + v1_2^2/2 - v2_2^2/2"
+                         " - v3_2^2/2 - y1^2/2 + x1*y2/3 - sin(x2)*y1^2/4 + x3*y2*v1_1/5")
+    H = EnvelopeHamiltonian(L)
+    solves, stacks = [], []
+    monkeypatch.setattr(legendre, "legendre_solve",
+                        lambda L, pt, f=legendre.legendre_solve: solves.append(pt) or f(L, pt))
+    monkeypatch.setattr(legendre, "_minors",
+                        lambda c, v, g, f=legendre._minors: stacks.append(g) or f(c, v, g))
+    pt = kernel_point(chart, np.random.default_rng(46))
+    H.solve_velocity(pt)
+    got = {nm: H.partial(nm).value(pt) for nm in chart.names}
+    assert H.cache_stats == {"hits": chart.dim, "misses": 1, "evictions": 0}
+    assert len(solves) == 1 and stacks.count("pairing") == 1
+    h = 1e-5
+    for name in chart.names:
+        up, dn = dict(pt), dict(pt)
+        up[name] += h
+        dn[name] -= h
+        fd = (H.value(up) - H.value(dn)) / (2 * h)
+        assert abs(got[name] - fd) <= 1e-5 * max(1.0, abs(fd)), name
+    assert got["eps"] == 1.0
+
+
+def test_envelope_eviction_drops_the_points_jet():
+    chart = weyl_chart(2, 1)
+    H = EnvelopeHamiltonian(kg_lagrangian(chart))
+    rng = np.random.default_rng(47)
+    first, *rest = [chart.random_point(rng) for _ in range(H.CACHE_SIZE + 1)]
+    dh_dp = H.partial("p1").value(first)
+    for pt in rest:
+        H.value(pt)
+    assert len(H._cache) == H.CACHE_SIZE and H.cache_stats["evictions"] == 1
+    misses = H.cache_stats["misses"]
+    assert H.partial("p1").value(first) == dh_dp
+    assert H.cache_stats["misses"] == misses + 1  # solved again, not read from a kept row
+
+
+def test_envelope_value_needs_no_q_derivative():
+    # d sqrt(y)/dy = 1/(2 sqrt(y)) is undefined at y = 0, where H is not
+    chart = weyl_chart(2, 1)
+    H = EnvelopeHamiltonian(Lagrangian.parse(chart, "v1^2/2 - v2^2/2 - sqrt(y)"))
+    pt = chart.point(eps=0.5, p1=0.3, p2=-0.2)
+    assert H.value(pt) == pytest.approx(0.5 + 0.3 ** 2 / 2 - 0.2 ** 2 / 2, abs=1e-12)
+    assert H.partial("p1").value(pt) == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(ex.EvalDomainError):
+        H.partial("y").value(pt)
+    assert H.cache_stats["misses"] == 1

@@ -14,6 +14,7 @@ checks the same points.
 """
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -115,3 +116,22 @@ def test_envelope_dh_dp_matches_sympy(spec, data):
     args = (list(v.ravel()), [pt[mc.name] for mc in chart.momenta])
     for mc, dp in zip(chart.momenta, f["dp"]):
         _close(H.partial(mc.name).value(pt), dp(*args))
+
+
+@pytest.mark.parametrize("spec", list(CHARTS))
+def test_subnormal_velocity_raises_no_warning(spec):
+    # the example that made LAPACK's det warn "divide by zero": every
+    # coordinate 0 and one velocity entry subnormal
+    chart, L, f = oracle(spec)
+    pt = dict.fromkeys(chart.names, 0.0)
+    v = np.zeros(chart.k * chart.n)
+    v[2] = 2.225073858507e-311
+    v = v.reshape(chart.k, chart.n)
+    args = (list(v.ravel()), [pt[mc.name] for mc in chart.momenta])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _close(pairing(chart, pt, v), f["pairing"](*args))
+        _close(pairing_dv(chart, pt, v), f["dv"](*args))
+        _close(pairing_d2v(chart, pt, v), f["d2v"](*args))
+        want = np.eye(chart.n) * (f["pairing"](*args) - L.value(pt, v)) - np.asarray(f["dX"](*args))
+        _close(hamiltonian_tensor(EnvelopeHamiltonian(L), pt, v), want)
