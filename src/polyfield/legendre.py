@@ -17,9 +17,8 @@ z = [1; v] over the canonical q-subsets, with no column, one (v-gradient,
 Hamiltonian tensor) or two (v-Hessian) replaced by coordinate directions.
 One kernel serves them all: it gathers the (patterns, momenta, n, n) stack
 of these minors with tables built per chart on first use, takes their
-determinants in closed form for n <= 4 (the string, the scalar fields,
-Maxwell) and by ``np.linalg.det`` above, and contracts them with signed
-momentum values.
+determinants in closed form for n <= 3 and by ``np.linalg.det`` above, and
+contracts them with signed momentum values.
 
 The Hamiltonian H(q, p) = W(q, V(q, p), p) differentiates through the
 envelope identities: the critical-point condition kills the dV terms, so
@@ -87,8 +86,7 @@ class Lagrangian:
             raise ValueError(f"Lagrangian uses non-configuration symbols {sorted(unknown)}")
         self._derivs = {}
         # flat derivative lists, in the order of the arrays they fill, taken on first use
-        self._names = {"dq": [(nm,) for nm in chart.base_names + chart.fiber_names],
-                       "dv": [(nm,) for nm in self._flat],
+        self._names = {"dv": [(nm,) for nm in self._flat],
                        "d2v": [(a, b) for a in self._flat for b in self._flat]}
         self._lists = {}
 
@@ -130,12 +128,11 @@ _Tables = namedtuple("_Tables", "coords signs names groups frame")
 
 def minor_kernel(n: int) -> str:
     """The determinant kernel ``_det`` uses for n x n minors."""
-    return f"closed form n={n}" if n <= 4 else f"LAPACK det n={n}"
+    return f"closed form n={n}" if n <= 3 else f"LAPACK det n={n}"
 
 
 def _det(m) -> np.ndarray:
-    """Determinants over the last two axes: products for n <= 3, a Laplace
-    expansion along the first row over 3 x 3 cofactors for n = 4."""
+    """Determinants over the last two axes: products for n <= 3, LAPACK above."""
     n = m.shape[-1]
     if n == 1:
         return m[..., 0, 0]
@@ -145,10 +142,6 @@ def _det(m) -> np.ndarray:
         a, b, c, d, e, f, g, h, i = m.reshape(-1, 9).T
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         return det.reshape(m.shape[:-2])
-    if n == 4:
-        rest = m[..., 1:, :]
-        return sum((-1) ** j * m[..., 0, j] * _det(rest[..., [c for c in range(4) if c != j]])
-                   for j in range(4))
     return np.linalg.det(m)
 
 
@@ -305,12 +298,13 @@ class EnvelopeHamiltonian(OpaqueJet):
     identities; usable as an opaque-jet leaf in expressions.
 
     The velocity cache keeps a jet for each of the ``CACHE_SIZE`` most
-    recently used points: v, <p, v> and the row of dH.  One stack of pairing
-    minors gives <p, v> and the p-part; the q-part, -dL/dq, is filled on
-    first use, so H stays defined where dL/dq is not.  H and all its
-    partials at a point share one solve, and each of their reads is a
-    lookup.  ``cache_stats`` counts hits, misses and evictions;
-    ``last_report`` is the ``SolveReport`` of the latest solve.
+    recently used points: v, the evaluation env of L, <p, v> and the entries
+    of dH.  One stack of pairing minors gives <p, v> and every dH/dp; each
+    dH/dq = -dL/dq is evaluated on its first request, so H and the other
+    partials stay defined where one dL/dq is not.  H and all its partials at
+    a point share one solve, and each of their reads is a lookup.
+    ``cache_stats`` counts hits, misses and evictions; ``last_report`` is
+    the ``SolveReport`` of the latest solve.
     """
 
     CACHE_SIZE = 64
@@ -338,11 +332,13 @@ class EnvelopeHamiltonian(OpaqueJet):
         else:
             stats["misses"] += 1
             v, self.last_report = legendre_solve(self.L, pt)
-            t = _tables(self.chart)
-            signed = _minors(self.chart, v, "pairing")[0] * t.signs
+            chart, t = self.chart, _tables(self.chart)
+            signed = _minors(chart, v, "pairing")[0] * t.signs
+            first_p = chart.n + chart.k
+            dh_dp = np.bincount(t.coords, signed, chart.dim)[first_p:]
             jet = self._cache[key] = SimpleNamespace(
-                v=v, pairing=float(signed @ [pt[nm] for nm in t.names]), q_filled=False,
-                dh=np.bincount(t.coords, signed, self.chart.dim))
+                v=v, env=self.L._env(pt, v), pairing=float(signed @ [pt[nm] for nm in t.names]),
+                dh=dict(enumerate(dh_dp.tolist(), first_p)))
             if len(self._cache) > self.CACHE_SIZE:
                 self._cache.popitem(last=False)
                 stats["evictions"] += 1
@@ -350,28 +346,26 @@ class EnvelopeHamiltonian(OpaqueJet):
                           "(%d evictions)", self.CACHE_SIZE, stats["evictions"])
         return jet.v
 
-    def _jet(self, pt, with_q=False) -> SimpleNamespace:
-        """The jet at ``pt`` after one counted lookup, its q-part filled if ``with_q``."""
+    def _jet(self, pt) -> SimpleNamespace:
+        """The jet at ``pt``, after one counted lookup."""
         self.solve_velocity(pt)
-        jet = next(reversed(self._cache.values()))
-        if with_q and not jet.q_filled:
-            jet.dh[:self.chart.n + self.chart.k] = -self.L._evaluate("dq", pt, jet.v)
-            jet.q_filled = True
-        return jet
+        return self._cache[self._key(pt)]
 
     def value(self, pt) -> float:
         jet = self._jet(pt)
-        return jet.pairing - self.L.value(pt, jet.v)
+        return jet.pairing - float(self.L.expression.evaluate(jet.env))
 
     def partial(self, name) -> OpaqueJet:
         """dH/d``name``, one jet per coordinate, so that the same partial
         taken twice is the same expression atom."""
         if name not in self._partials:
             idx = self.chart.index(name)
-            with_q = not self.chart.is_momentum(idx)
 
             def val(pt):
-                return float(self._jet(pt, with_q).dh[idx])
+                jet = self._jet(pt)
+                if idx not in jet.dh:  # a q-coordinate: -dL/dq, evaluated on first request
+                    jet.dh[idx] = -float(self.L.derivative(name).evaluate(jet.env))
+                return jet.dh[idx]
             self._partials[name] = ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
         return self._partials[name]
 

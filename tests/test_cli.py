@@ -27,10 +27,10 @@ def test_legendre_prints_solve_and_cache(capsys):
     assert any(line.startswith("H = ") for line in lines)
 
 
-def test_legendre_names_the_lapack_kernel_above_four(capsys):
-    L = "v1^2/2 - v2^2/2 - v3^2/2 - v4^2/2 - v5^2/2 - y^2/2"
-    assert main(["legendre", "--chart", "weyl:5,1", "--lagrangian", L]) == 0
-    assert "minors: LAPACK det n=5" in capsys.readouterr().out.splitlines()
+def test_legendre_names_the_lapack_kernel_above_three(capsys):
+    L = "v1^2/2 - v2^2/2 - v3^2/2 - v4^2/2 - y^2/2"
+    assert main(["legendre", "--chart", "weyl:4,1", "--lagrangian", L]) == 0
+    assert "minors: LAPACK det n=4" in capsys.readouterr().out.splitlines()
 
 
 def test_legendre_reports_singular_hessian(capsys):

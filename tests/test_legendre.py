@@ -482,7 +482,7 @@ def _subnormal_stack(n):
     return np.stack([one, off, np.full((n, n), tiny), tiny * np.eye(n)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_det_matches_lapack(n):
     rng = np.random.default_rng(40 + n)
     stack = rng.normal(size=(6, 5, n, n))
@@ -503,20 +503,20 @@ def test_closed_form_det_matches_lapack(n):
     assert legendre.minor_kernel(n) == f"closed form n={n}"
 
 
-def test_det_above_four_is_lapack(monkeypatch):
+def test_det_above_three_is_lapack(monkeypatch):
     lapack, calls = np.linalg.det, []
     monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m.shape) or lapack(m))
-    stack = np.random.default_rng(45).normal(size=(3, 5, 5))
+    stack = np.random.default_rng(45).normal(size=(3, 4, 4))
     assert np.array_equal(legendre._det(stack), lapack(stack))
-    legendre._det(stack[:, :4, :4])
-    assert calls == [(3, 5, 5)]
-    assert legendre.minor_kernel(5) == "LAPACK det n=5"
+    legendre._det(stack[:, :3, :3])
+    assert calls == [(3, 4, 4)]
+    assert legendre.minor_kernel(4) == "LAPACK det n=4"
 
 
 def test_tables_log_the_minor_kernel_once_per_chart(caplog):
     with caplog.at_level(logging.DEBUG, logger="polyfield.legendre"):
         for chart, want in ((full_chart(3, 2), "closed form n=3"),
-                            (weyl_chart(5, 1), "LAPACK det n=5")):
+                            (weyl_chart(4, 1), "LAPACK det n=4")):
             v = np.zeros((chart.k, chart.n))
             pairing(chart, chart.point(), v)
             pairing_d2v(chart, chart.point(), v)
@@ -566,7 +566,8 @@ def test_envelope_eviction_drops_the_points_jet():
 
 
 def test_envelope_value_needs_no_q_derivative():
-    # d sqrt(y)/dy = 1/(2 sqrt(y)) is undefined at y = 0, where H is not
+    # d sqrt(y)/dy = 1/(2 sqrt(y)) is undefined at y = 0, where H and the
+    # other partials are not
     chart = weyl_chart(2, 1)
     H = EnvelopeHamiltonian(Lagrangian.parse(chart, "v1^2/2 - v2^2/2 - sqrt(y)"))
     pt = chart.point(eps=0.5, p1=0.3, p2=-0.2)
@@ -574,4 +575,6 @@ def test_envelope_value_needs_no_q_derivative():
     assert H.partial("p1").value(pt) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ex.EvalDomainError):
         H.partial("y").value(pt)
+    assert H.partial("x1").value(pt) == 0.0
+    assert H.partial("x2").value(pt) == 0.0
     assert H.cache_stats["misses"] == 1
