@@ -9,7 +9,9 @@ diagonal per momentum, with one equation for each presentation of it that
 the aliases must agree on, and Xi comes out in closed form
 (``theta_basis_solve``).  Otherwise the system is evaluated over the batch
 of probe points: ``xi_general`` takes its least squares at each point,
-``HamiltonianPair.verify`` its residual at a given field.
+``HamiltonianPair.verify`` its residual at a given field.  The momentum
+form X . theta of a configuration field X has Xi = X plus the momentum
+correction that solves -L_X theta in the same closed form (``xi_p``).
 
 Brackets:
 
@@ -132,13 +134,15 @@ def xi_q(a: Form) -> HamiltonianPair:
 
 def xi_p(xi_config: VectorField) -> HamiltonianPair:
     """Hamiltonian pair of the momentum form xi . theta for a configuration
-    vector field; the momentum correction solves the Lie-derivative block."""
+    vector field: Xi = xi + Y, where the momentum-directed Y solves
+    Y . Omega = -(d(xi . theta) + xi . Omega) = -L_xi theta, with the Lie
+    derivative taken in coordinates."""
     chart = xi_config.chart
     for i in xi_config.components:
         if chart.is_momentum(i):
             raise ValueError("xi_p expects a configuration vector field")
     p_form = contract(xi_config, chart.theta())
-    rhs = -(exterior_derivative(p_form) + contract(xi_config, chart.multisymplectic_form()))
+    rhs = -lie_derivative(xi_config, chart.theta())
     return HamiltonianPair(p_form, xi_config + theta_basis_solve(chart, rhs))
 
 

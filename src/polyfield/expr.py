@@ -683,25 +683,6 @@ class FunctionJet(OpaqueJet):
         return self._partial_factory(name)
 
 
-def jet_gradient_check(jet, points, h=1e-6):
-    """Self-test: jet partials against central differences of the value.
-
-    Returns the worst relative error over all points and symbols.
-    """
-    worst = 0.0
-    for pt in points:
-        for name in jet.symbols:
-            up = dict(pt)
-            dn = dict(pt)
-            up[name] = pt[name] + h
-            dn[name] = pt[name] - h
-            fd = (jet.value(up) - jet.value(dn)) / (2 * h)
-            an = jet.partial(name).value(pt)
-            scale = max(1.0, abs(fd), abs(an))
-            worst = max(worst, abs(fd - an) / scale)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # printing
 

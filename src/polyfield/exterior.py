@@ -17,6 +17,7 @@ hand.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 import numpy as np
@@ -247,9 +248,11 @@ class VectorField(Multivector):
     def apply(self, f: Expression) -> Expression:
         """Directional derivative of a scalar expression."""
         names = self.chart.names
+        free = f.free_symbols()
         out = ex.ZERO
         for (i,), c in self.coeffs.items():
-            out = out + c * f.diff(names[i])
+            if names[i] in free:
+                out = out + c * f.diff(names[i])
         return out
 
     def lie_bracket(self, other: "VectorField") -> "VectorField":
@@ -310,7 +313,31 @@ def exterior_derivative(a: Form) -> Form:
 
 
 def lie_derivative(xi: VectorField, a: Form) -> Form:
-    """Cartan's formula L_xi = d(xi . a) + xi . (d a)."""
-    if a.degree == 0:
-        return contract(xi, exterior_derivative(a))
-    return exterior_derivative(contract(xi, a)) + contract(xi, exterior_derivative(a))
+    """L_xi a in coordinates: each coefficient a_K of a contributes
+
+        xi(a_K) dq^K + sum_k a_K dq^{K_1} ^ ... ^ d(xi^{K_k}) ^ ... ^ dq^{K_p},
+
+    one term per slot k of K, with d(xi^i) taken once per component.  A
+    dq^m from d(xi^{K_k}) moves from slot k to its sorted place j among the
+    other indices, with sign (-1)^(k - j), and vanishes when m is one of
+    them.  This is Cartan's d(xi . a) + xi . da for any field and form,
+    without building the two sums that cancel."""
+    if xi.chart is not a.chart:
+        raise ValueError("chart mismatch")
+    d_xi = {}
+    out = {}
+    for K, c in a.coeffs.items():
+        lead = xi.apply(c)
+        out[K] = out[K] + lead if K in out else lead
+        for k, i in enumerate(K):
+            if i not in d_xi:
+                d_xi[i] = exterior_derivative(Form(a.chart, 0, {(): xi.component(i)})).coeffs
+            rest = K[:k] + K[k + 1:]
+            for (m,), dc in d_xi[i].items():
+                if m in rest:
+                    continue
+                j = bisect_left(rest, m)
+                key = rest[:j] + (m,) + rest[j:]
+                term = c * dc if (k - j) % 2 == 0 else -(c * dc)
+                out[key] = out[key] + term if key in out else term
+    return Form(a.chart, a.degree, out, normalized=True)

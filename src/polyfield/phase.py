@@ -22,7 +22,6 @@ exterior differentiation, with no special-casing downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -34,7 +33,7 @@ from .exterior import Form, VectorField, canonicalize, contract
 
 __all__ = [
     "Chart", "MomentumCoord", "full_chart", "weyl_chart", "maxwell_chart",
-    "restrict_weyl", "chart_from_json",
+    "restrict_weyl",
 ]
 
 
@@ -252,25 +251,6 @@ class Chart:
     def random_point(self, rng, lo=-1.0, hi=1.0):
         return {nm: float(rng.uniform(lo, hi)) for nm in self.names}
 
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "n": self.n,
-            "k": self.k,
-            "density": str(self.density),
-            "fiber_names": list(self.fiber_names),
-            "aliases": [
-                {"name": mc.name,
-                 "components": [
-                     {"qsubset": [int(i) for i in I], "sign": int(s)}
-                     for I, s in mc.presentations]}
-                for mc in self.momenta
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
-
     def __repr__(self):
         return f"<{self.kind} chart n={self.n} k={self.k} dim={self.dim}>"
 
@@ -355,16 +335,3 @@ def embed_form(weyl: Chart, full: Chart, form: Form) -> Form:
     for key, c in form.coeffs.items():
         remap[tuple(full.index(weyl.names[i]) for i in key)] = c
     return Form(full, form.degree, remap)
-
-
-def chart_from_json(text: str) -> Chart:
-    doc = json.loads(text)
-    kind = doc["kind"]
-    density = ex.parse(doc["density"]) if doc.get("density") not in (None, "1") else None
-    if kind == "full":
-        return full_chart(doc["n"], doc["k"], density, doc.get("fiber_names"))
-    if kind == "weyl":
-        return weyl_chart(doc["n"], doc["k"], density, doc.get("fiber_names"))
-    if kind == "maxwell":
-        return maxwell_chart(doc["n"], density)
-    raise ValueError(f"unknown chart kind {kind!r}")

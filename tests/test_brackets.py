@@ -10,7 +10,7 @@ from polyfield.brackets import (
     BracketError, HamiltonianPair, SuperForm, NotBracketable, eta_slice, external_bracket,
     h_omega_bracket, internal_bracket, is_admissible,
     noether_sides, p_momentum, p_momentum_starred, pi_field, q_position,
-    sbracket, scalar_of_super, super_scalar, superize, xi_general, xi_p,
+    sbracket, scalar_of_super, super_scalar, superize, theta_basis_solve, xi_general, xi_p,
     xi_q, xi_tau_scalar,
 )
 from polyfield.exterior import Form, VectorField, contract, exterior_derivative, \
@@ -349,6 +349,49 @@ def test_xi_general_matches_closed_form_pointwise():
         comps, _ = solved.solve_at(env)
         for i, c in pair.xi.at(env).items():
             assert comps.get(i, 0.0) == pytest.approx(c, abs=1e-9)
+
+
+XI_P_CHARTS = {
+    "full_2_1": lambda: full_chart(2, 1),
+    "full_3_2": lambda: full_chart(3, 2),
+    "curved_full_2_2": lambda: full_chart(2, 2, density=ex.parse("1 + x1^2/2")),
+    "curved_full_3_3": lambda: full_chart(3, 3, density=ex.parse("1 + x1^2/2 + x2*x3/4")),
+    "weyl_2_1": lambda: weyl_chart(2, 1),
+    "maxwell_3": lambda: maxwell_chart(3),
+}
+
+
+def cartan_xi_p_field(xi_config):
+    """The field of xi_p solved from the Cartan right-hand side
+    -(d(xi . theta) + xi . Omega)."""
+    chart = xi_config.chart
+    rhs = -(exterior_derivative(contract(xi_config, chart.theta()))
+            + contract(xi_config, chart.multisymplectic_form()))
+    return xi_config + theta_basis_solve(chart, rhs)
+
+
+@pytest.mark.parametrize("name", sorted(XI_P_CHARTS))
+def test_xi_p_field_equals_the_cartan_solve_exactly(name):
+    chart = XI_P_CHARTS[name]()
+    rng = np.random.default_rng(sorted(XI_P_CHARTS).index(name) + 90)
+    # a base-dependent shift of the fibers is bracketable on every chart
+    shift = VectorField(chart, {chart.index(nm): config_poly(chart, rng, chart.base_names)
+                                for nm in chart.fiber_names})
+    solved = 0
+    for xi_config in [shift] + [random_config_field(chart, rng) for _ in range(3)]:
+        try:
+            want = cartan_xi_p_field(xi_config)
+        except NotBracketable as e:
+            with pytest.raises(NotBracketable) as got:
+                xi_p(xi_config)
+            assert sorted(got.value.stray) == sorted(e.stray)
+            continue
+        got = xi_p(xi_config).xi
+        assert set(got.components) == set(want.components)
+        for i, c in want.components.items():
+            assert (got.component(i) - c).is_zero(), (name, chart.names[i])
+        solved += 1
+    assert solved >= 1
 
 
 def test_xi_p_scalar_field_display_on_curved_chart():

@@ -8,7 +8,7 @@ from polyfield.exterior import (
     Form, Multivector, VectorField, canonicalize, contract, exterior_derivative,
     lie_derivative, wedge_vectors,
 )
-from polyfield.phase import full_chart, weyl_chart
+from polyfield.phase import full_chart, maxwell_chart, weyl_chart
 
 
 def eval_on_vectors(form, vectors, env):
@@ -237,6 +237,85 @@ def test_lie_derivative_product_rule():
     for _ in range(20):
         env = chart.random_point(rng)
         assert (lhs - rhs).max_abs_at(env) <= 1e-9
+
+
+CARTAN_CHARTS = {
+    "full_2_1": lambda: full_chart(2, 1),
+    "full_3_2": lambda: full_chart(3, 2),
+    "curved_full_2_2": lambda: full_chart(2, 2, density=ex.parse("1 + x1^2/2")),
+    "curved_full_3_3": lambda: full_chart(3, 3, density=ex.parse("1 + x1^2/2 + x2*x3/4")),
+    "weyl_2_1": lambda: weyl_chart(2, 1),
+    "maxwell_3": lambda: maxwell_chart(3),
+}
+
+
+def random_field(chart, rng, comps=4):
+    """Random components plus one momentum component; every coefficient
+    has a term in a momentum."""
+    momenta = [i for i in range(chart.dim) if chart.is_momentum(i)]
+    idx = set(rng.choice(chart.dim, size=min(comps, chart.dim), replace=False).tolist())
+    idx.add(int(rng.choice(momenta)))
+    out = {}
+    for i in idx:
+        p = ex.Sym(chart.names[int(rng.choice(momenta))])
+        q = ex.Sym(chart.names[int(rng.integers(chart.dim))])
+        out[i] = random_polynomial(chart, rng) + float(rng.uniform(-1, 1)) * p * q
+    return VectorField(chart, out)
+
+
+def forms_identical(a, b):
+    """Exact equality of the stored coefficients: every entry of a - b is
+    decided zero."""
+    assert a.degree == b.degree
+    return all((a.coeffs.get(K, ex.ZERO) - b.coeffs.get(K, ex.ZERO)).is_zero()
+               for K in set(a.coeffs) | set(b.coeffs))
+
+
+def cartan(xi, a):
+    """d(xi . a) + xi . da, with the first term absent on a 0-form."""
+    tail = contract(xi, exterior_derivative(a))
+    return tail if a.degree == 0 else exterior_derivative(contract(xi, a)) + tail
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_CHARTS))
+def test_lie_derivative_satisfies_cartan_exactly(name):
+    chart = CARTAN_CHARTS[name]()
+    rng = np.random.default_rng(sorted(CARTAN_CHARTS).index(name) + 70)
+    forms = [random_form(chart, p, rng, terms=3) for p in range(chart.n + 2)]
+    forms += [chart.theta(), chart.multisymplectic_form()]
+    for _ in range(3):
+        xi = random_field(chart, rng)
+        for a in forms:
+            assert forms_identical(lie_derivative(xi, a), cartan(xi, a)), (name, a.degree)
+
+
+def test_lie_derivative_along_an_empty_field_is_the_zero_form():
+    chart = full_chart(2, 1)
+    empty = VectorField(chart, {})
+    for p in (0, 2, chart.dim):
+        lie = lie_derivative(empty, random_form(chart, p, np.random.default_rng(p), terms=2))
+        assert lie.degree == p and lie.is_zero()
+
+
+def test_lie_derivative_of_a_scalar_is_apply_exactly():
+    chart = maxwell_chart(3)
+    rng = np.random.default_rng(8)
+    f = random_polynomial(chart, rng) * random_polynomial(chart, rng)
+    xi = random_field(chart, rng, comps=6)
+    lie = lie_derivative(xi, chart.zero_form(f))
+    assert lie.degree == 0
+    assert forms_identical(lie, chart.zero_form(xi.apply(f)))
+
+
+def test_lie_derivative_of_a_top_form_is_x_f_plus_f_div_x():
+    chart = full_chart(2, 1)
+    rng = np.random.default_rng(9)
+    f = random_polynomial(chart, rng)
+    xi = random_field(chart, rng, comps=chart.dim)
+    top = tuple(range(chart.dim))
+    div = sum((xi.component(i).diff(nm) for i, nm in enumerate(chart.names)), ex.ZERO)
+    want = Form(chart, chart.dim, {top: xi.apply(f) + f * div})
+    assert forms_identical(lie_derivative(xi, Form(chart, chart.dim, {top: f})), want)
 
 
 def test_vector_field_lie_bracket():

@@ -7,7 +7,7 @@ import pytest
 from polyfield import expr as ex
 from polyfield.exterior import canonicalize, contract
 from polyfield.phase import (
-    chart_from_json, embed_form, embed_point, full_chart, maxwell_chart,
+    embed_form, embed_point, full_chart, maxwell_chart,
     restrict_weyl, weyl_chart,
 )
 
@@ -258,15 +258,6 @@ def test_density_must_be_positive():
 def test_density_only_base_coordinates():
     with pytest.raises(ValueError):
         weyl_chart(2, 1, density=ex.parse("y"))
-
-
-def test_json_round_trip():
-    for chart in (full_chart(2, 2), weyl_chart(2, 1, density=ex.parse("1 + x1^2/2")),
-                  maxwell_chart(3)):
-        doc = chart.to_json()
-        back = chart_from_json(doc)
-        assert back.names == chart.names
-        assert back.to_json() == doc
 
 
 def test_parse_is_chart_scoped():
