@@ -35,8 +35,8 @@ import logging
 import numpy as np
 
 from .expr import ZERO, Expression, as_expr
-from .exterior import Form, VectorField, contract, exterior_derivative, lie_derivative, \
-    merge_indices, wedge_vectors
+from .exterior import Form, VectorField, canonicalize, contract, exterior_derivative, \
+    lie_derivative, wedge_vectors
 
 __all__ = [
     "BracketError", "NotBracketable", "HamiltonianPair",
@@ -303,7 +303,7 @@ class SuperForm:
         out = {}
         for T, form in self.parts.items():
             for a, c in scalar.items():
-                m = merge_indices(T, (a,))
+                m = canonicalize(T + (a,))
                 if m is None:
                     continue
                 key, sign = m
@@ -409,7 +409,7 @@ def sbracket(A: SuperForm, B: SuperForm) -> Form | SuperForm:
         for T, xb in B.xi.items():
             if xb.is_zero():
                 continue
-            m = merge_indices(S, T)
+            m = canonicalize(S + T)
             if m is None:
                 continue
             key, sign = m

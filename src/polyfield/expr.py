@@ -32,9 +32,6 @@ __all__ = [
     "UnboundSymbolError", "JetOrderError",
 ]
 
-_PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
-
-
 class ExprError(Exception):
     pass
 
@@ -351,40 +348,29 @@ class Call(Expression):
 
     def evaluate(self, env):
         x = self.a.evaluate(env)
-        if self.fn == "sin":
-            return np.sin(x)
-        if self.fn == "cos":
-            return np.cos(x)
-        if self.fn == "exp":
-            return np.exp(x)
-        if self.fn == "log":
-            if np.any(x <= 0.0):
-                raise EvalDomainError(f"log of non-positive value in {to_source(self)}")
-            return np.log(x)
-        if self.fn == "sqrt":
-            if np.any(x < 0.0):
-                raise EvalDomainError(f"sqrt of negative value in {to_source(self)}")
-            return np.sqrt(x)
-        raise ExprError(f"unknown primitive {self.fn}")
+        fn, domain, _ = _PRIMITIVES[self.fn]
+        if domain is not None and np.any(domain[1](x)):
+            raise EvalDomainError(f"{self.fn} of {domain[0]} value in {to_source(self)}")
+        return fn(x)
 
     def diff(self, name):
-        da = self.a.diff(name)
-        if self.fn == "sin":
-            outer = Call("cos", self.a)
-        elif self.fn == "cos":
-            outer = neg(Call("sin", self.a))
-        elif self.fn == "exp":
-            outer = self
-        elif self.fn == "log":
-            return div(da, self.a)
-        elif self.fn == "sqrt":
-            return div(da, mul(Const(2.0), self))
-        else:
-            raise ExprError(f"unknown primitive {self.fn}")
-        return mul(outer, da)
+        return _PRIMITIVES[self.fn][2](self, self.a.diff(name))
 
     def _normal(self):
         return _atom_poly(("call", self.fn, frozenset(self.a._poly().items())))
+
+
+# The primitives, read by the parser, Call.evaluate and Call.diff: name ->
+# (numpy function, None or (description, test) of the arguments outside the
+# domain, derivative from the node f and its argument's derivative da).
+_PRIMITIVES = {
+    "sin": (np.sin, None, lambda f, da: mul(Call("cos", f.a), da)),
+    "cos": (np.cos, None, lambda f, da: mul(neg(Call("sin", f.a)), da)),
+    "exp": (np.exp, None, lambda f, da: mul(f, da)),
+    "log": (np.log, ("non-positive", lambda x: x <= 0.0), lambda f, da: div(da, f.a)),
+    "sqrt": (np.sqrt, ("negative", lambda x: x < 0.0),
+             lambda f, da: div(da, mul(Const(2.0), f))),
+}
 
 
 class Opaque(Expression):
@@ -860,7 +846,7 @@ class _Parser:
                 self.take("(")
                 e = self.expr()
                 self.take(")")
-                return Call(tok.text, e)
+                return _call(tok.text, e)
             if self.symbols is not None and tok.text not in self.symbols:
                 raise UnknownSymbolError(tok.text, tok.col)
             return Sym(tok.text)

@@ -7,6 +7,13 @@ the zero element.  A vector field is the degree-1 multivector: it shares
 the arithmetic, and a wedge of vector fields is a plain multivector.
 ``contract(X, a)`` and ``a.wedge(b)`` are the entry points for both.
 
+Every operation (negation, sum, ``scale``, ``wedge``, ``contract``,
+``exterior_derivative`` and ``lie_derivative``) emits keys that are already
+sorted and of the right length, and returns through one builder,
+``_Graded._new``, which only drops the coefficients that cancelled.  The
+public constructor is for input from outside: it sorts each index tuple,
+applies its permutation sign and folds keys that coincide.
+
 The interior product follows the leading-slot convention: a decomposable
 r-vector X = X_1 ^ ... ^ X_r fills the *first* r argument slots of a form,
 (X . a)(V, ...) = a(X_1, ..., X_r, V, ...).  For a 1-vector this is the
@@ -27,7 +34,7 @@ from .expr import Expression, as_expr
 
 __all__ = [
     "Form", "Multivector", "VectorField",
-    "canonicalize", "merge_indices", "contract",
+    "canonicalize", "contract",
     "exterior_derivative", "lie_derivative", "wedge_vectors",
 ]
 
@@ -59,24 +66,6 @@ def _perm_sign(order):
     return sign
 
 
-def merge_indices(I, J):
-    """Merge two canonical tuples; returns (tuple, interleave sign) or None
-    on overlap."""
-    if not I:
-        return J, 1
-    if not J:
-        return I, 1
-    if set(I) & set(J):
-        return None
-    inversions = 0
-    for s in I:
-        for t in J:
-            if s > t:
-                inversions += 1
-    merged = tuple(sorted(I + J))
-    return merged, (-1) ** inversions
-
-
 def _shuffle_sign(positions):
     # sign of moving the chosen positions of a tuple to its front, in order
     return (-1) ** sum(p - j for j, p in enumerate(positions))
@@ -87,34 +76,38 @@ class _Graded:
 
     __slots__ = ("chart", "degree", "coeffs")
 
-    def __init__(self, chart, degree, coeffs=None, normalized=False):
+    def __init__(self, chart, degree, coeffs=None):
         self.chart = chart
         self.degree = int(degree)
         if self.degree < 0:
             raise ValueError("negative degree")
         table = {}
         if coeffs and self.degree <= chart.dim:
-            if normalized:
-                table = {k: v for k, v in coeffs.items() if not v.is_zero()}
-            else:
-                for idx, c in coeffs.items():
-                    c = as_expr(c)
-                    if c.is_zero():
-                        continue
-                    canon = canonicalize(idx)
-                    if canon is None:
-                        continue
-                    key, sign = canon
-                    if len(key) != self.degree:
-                        raise ValueError(f"index {idx} has wrong length for degree {self.degree}")
-                    prev = table.get(key)
-                    term = c if sign > 0 else -c
-                    table[key] = term if prev is None else prev + term
-                table = {k: v for k, v in table.items() if not v.is_zero()}
-        self.coeffs = table
+            for idx, c in coeffs.items():
+                c = as_expr(c)
+                if c.is_zero():
+                    continue
+                canon = canonicalize(idx)
+                if canon is None:
+                    continue
+                key, sign = canon
+                if len(key) != self.degree:
+                    raise ValueError(f"index {idx} has wrong length for degree {self.degree}")
+                term = c if sign > 0 else -c
+                table[key] = table[key] + term if key in table else term
+        self.coeffs = {k: v for k, v in table.items() if not v.is_zero()}
 
-    def _new(self, degree, coeffs, normalized=False):
-        return type(self)(self.chart, degree, coeffs, normalized=normalized)
+    def _new(self, degree, table):
+        """The one builder behind every operation: the keys of ``table`` are
+        sorted and of length ``degree``; coefficients that cancelled drop."""
+        out = object.__new__(self._kind(degree))
+        out.chart = self.chart
+        out.degree = degree
+        out.coeffs = {k: v for k, v in table.items() if not v.is_zero()}
+        return out
+
+    def _kind(self, degree):
+        return type(self)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -138,7 +131,7 @@ class _Graded:
         return self + (-other)
 
     def __neg__(self):
-        return self._new(self.degree, {k: -v for k, v in self.coeffs.items()}, normalized=True)
+        return self._new(self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, factor):
         factor = as_expr(factor)
@@ -164,7 +157,7 @@ class _Graded:
         out = {}
         for I, a in self.coeffs.items():
             for J, b in other.coeffs.items():
-                m = merge_indices(I, J)
+                m = canonicalize(I + J)
                 if m is None:
                     continue
                 key, sign = m
@@ -222,12 +215,8 @@ class VectorField(Multivector):
     def __init__(self, chart, components):
         super().__init__(chart, 1, {(int(i),): c for i, c in components.items()})
 
-    def _new(self, degree, coeffs, normalized=False):
-        if degree != 1:
-            return Multivector(self.chart, degree, coeffs, normalized=normalized)
-        field = object.__new__(VectorField)
-        Multivector.__init__(field, self.chart, 1, coeffs, normalized=True)
-        return field
+    def _kind(self, degree):
+        return VectorField if degree == 1 else Multivector
 
     @classmethod
     def coordinate(cls, chart, name):
@@ -290,7 +279,7 @@ def contract(X, a: Form) -> Form:
             sign = _shuffle_sign(positions)
             term = xc * c if sign > 0 else -(xc * c)
             out[J] = out[J] + term if J in out else term
-    return Form(a.chart, p - r, out)
+    return a._new(p - r, out)
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -305,11 +294,11 @@ def exterior_derivative(a: Form) -> Form:
             dc = c.diff(name)
             if dc.is_zero():
                 continue
-            merged = merge_indices((m,), K)
-            key, sign = merged
-            term = dc if sign > 0 else -dc
+            j = bisect_left(K, m)
+            key = K[:j] + (m,) + K[j:]
+            term = dc if j % 2 == 0 else -dc
             out[key] = out[key] + term if key in out else term
-    return Form(a.chart, a.degree + 1, out)
+    return a._new(a.degree + 1, out)
 
 
 def lie_derivative(xi: VectorField, a: Form) -> Form:
@@ -331,7 +320,7 @@ def lie_derivative(xi: VectorField, a: Form) -> Form:
         out[K] = out[K] + lead if K in out else lead
         for k, i in enumerate(K):
             if i not in d_xi:
-                d_xi[i] = exterior_derivative(Form(a.chart, 0, {(): xi.component(i)})).coeffs
+                d_xi[i] = exterior_derivative(a._new(0, {(): xi.component(i)})).coeffs
             rest = K[:k] + K[k + 1:]
             for (m,), dc in d_xi[i].items():
                 if m in rest:
@@ -340,4 +329,4 @@ def lie_derivative(xi: VectorField, a: Form) -> Form:
                 key = rest[:j] + (m,) + rest[j:]
                 term = c * dc if (k - j) % 2 == 0 else -(c * dc)
                 out[key] = out[key] + term if key in out else term
-    return Form(a.chart, a.degree, out, normalized=True)
+    return a._new(a.degree, out)

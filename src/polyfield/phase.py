@@ -121,11 +121,13 @@ class Chart:
         return I, s * sign
 
     def _check_density_positive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(16):
-            env = {nm: float(rng.uniform(*_DENSITY_PROBE_BOX)) for nm in self.base_names}
-            if float(self.density.evaluate(env)) <= 0.0:
-                raise ValueError(f"volume density non-positive at probe point {env}")
+        probes = np.random.default_rng(0).uniform(*_DENSITY_PROBE_BOX,
+                                                  size=(16, len(self.base_names)))
+        density = self.density.evaluate(dict(zip(self.base_names, probes.T)))
+        bad = np.flatnonzero(np.broadcast_to(density, 16) <= 0.0)
+        if bad.size:
+            env = {nm: float(v) for nm, v in zip(self.base_names, probes[bad[0]])}
+            raise ValueError(f"volume density non-positive at probe point {env}")
 
     # -- lookups ---------------------------------------------------------------
 
@@ -235,13 +237,8 @@ class Chart:
 
     # -- points ------------------------------------------------------------------
 
-    def point(self, values=None, **kw):
+    def point(self, **kw):
         pt = dict.fromkeys(self.names, 0.0)
-        if values:
-            for nm, v in values.items():
-                if nm not in self._index:
-                    raise KeyError(f"'{nm}' is not a coordinate")
-                pt[nm] = float(v)
         for nm, v in kw.items():
             if nm not in self._index:
                 raise KeyError(f"'{nm}' is not a coordinate")

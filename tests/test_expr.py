@@ -232,6 +232,8 @@ def test_opaque_jet_evaluates_over_an_array_env():
     "(x + 1)*(x - 1) - (x^2 - 1)",
     "1/(y + 1) + 1/(-y - 1)",
     "x/(1/x - 1/x^2) + x/(1/x^2 - 1/x)",
+    "sin(0)*x",
+    "exp(0) - 1",
 ])
 def test_cancelling_expressions_are_exactly_zero(source):
     e = parse(source)
@@ -268,7 +270,8 @@ def test_constant_power_that_overflows_raises():
     lambda: parse("1e200/1e-200 - x"),
     lambda: Const(1e308) + Const(1e308),
     lambda: expr.exp(Const(1000.0)),
-], ids=["mul", "div", "add", "exp"])
+    lambda: parse("x + exp(1000)"),
+], ids=["mul", "div", "add", "exp", "parsed_exp"])
 def test_constant_folding_that_overflows_raises(build):
     # a folded inf would print as 'inf' and parse back as a symbol of that name
     with warnings.catch_warnings():

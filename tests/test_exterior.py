@@ -44,6 +44,23 @@ def test_canonicalize_signs():
     assert canonicalize((1, 1)) is None
 
 
+def test_canonicalize_of_a_concatenation_counts_the_interleave_inversions():
+    # the sign that wedge and sbracket read off canonicalize(I + J)
+    assert canonicalize((0, 2, 4) + (1, 3, 5)) == ((0, 1, 2, 3, 4, 5), -1)
+    assert canonicalize((1, 3) + (0, 2, 4)) == ((0, 1, 2, 3, 4), -1)
+    assert canonicalize((0, 2) + (2, 5)) is None
+    assert canonicalize(() + (3, 7)) == ((3, 7), 1)
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        I, J = (tuple(sorted(rng.choice(9, size=int(rng.integers(5)), replace=False).tolist()))
+                for _ in range(2))
+        if set(I) & set(J):
+            assert canonicalize(I + J) is None, (I, J)
+        else:
+            inversions = sum(s > t for s in I for t in J)
+            assert canonicalize(I + J) == (tuple(sorted(I + J)), (-1) ** inversions), (I, J)
+
+
 def test_repeated_index_normalizes_to_zero():
     chart = weyl_chart(2, 1)
     a = Form(chart, 2, {(0, 0): ex.ONE})
@@ -287,6 +304,43 @@ def test_lie_derivative_satisfies_cartan_exactly(name):
         xi = random_field(chart, rng)
         for a in forms:
             assert forms_identical(lie_derivative(xi, a), cartan(xi, a)), (name, a.degree)
+
+
+def assert_built_canonically(g):
+    """Every key strictly increasing and of length degree, no stored zero,
+    and the table unchanged by the public constructor, which sorts it."""
+    for K, c in g.coeffs.items():
+        assert len(K) == g.degree and all(s < t for s, t in zip(K, K[1:])), K
+        assert not c.is_zero(), K
+    rebuilt = (Form if isinstance(g, Form) else Multivector)(g.chart, g.degree, g.coeffs)
+    assert set(rebuilt.coeffs) == set(g.coeffs)
+    assert all((rebuilt.coeffs[K] - c).is_zero() for K, c in g.coeffs.items())
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_CHARTS))
+def test_every_operation_returns_canonical_keys_without_zeros(name):
+    chart = CARTAN_CHARTS[name]()
+    rng = np.random.default_rng(sorted(CARTAN_CHARTS).index(name) + 110)
+    forms = [random_form(chart, p, rng, terms=3) for p in range(chart.n + 2)]
+    forms.append(random_form(chart, chart.dim, rng, terms=1))
+    fields = [random_field(chart, rng, comps=3) for _ in range(3)]
+    bivector = fields[0].wedge(fields[1])
+    multis = fields + [bivector]
+    factor = random_polynomial(chart, rng)
+    results = [a.wedge(b) for a, b in zip(forms, forms[1:] + forms[:1])]
+    results += [forms[1].wedge(forms[1]), fields[0].wedge(fields[0]),
+                bivector.wedge(fields[2]), fields[2].wedge(bivector)]
+    for a, b in zip(forms + multis, forms[1:] + [forms[0]] + multis[1:] + [multis[0]]):
+        results += [-a, a - a, a.scale(factor), a.scale(0.0)]
+        if a.degree == b.degree:
+            results += [a + b, a - b]
+    for a in forms:
+        results.append(exterior_derivative(a))
+        results += [lie_derivative(X, a) for X in fields]
+        results += [contract(X, a) for X in multis if X.degree <= a.degree]
+    for g in results:
+        assert_built_canonically(g)
+    assert all(type(X + X) is VectorField and type(-X) is VectorField for X in fields)
 
 
 def test_lie_derivative_along_an_empty_field_is_the_zero_form():

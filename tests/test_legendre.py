@@ -270,7 +270,7 @@ def test_hamiltonian_tensor_equals_minus_stress_energy():
     for _ in range(20):
         du = rng.normal(size=(1, 2))
         base = {nm: float(rng.normal()) for nm in ("x1", "x2")}
-        pt = chart.point(base, y=float(rng.normal()))
+        pt = chart.point(**base, y=float(rng.normal()))
         S = stress_energy(L, pt, du)
         mom = weyl_legendre(L, pt, du, w=float(rng.normal()))
         pt2 = dict(pt)

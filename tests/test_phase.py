@@ -255,6 +255,17 @@ def test_density_must_be_positive():
         weyl_chart(2, 1, density=ex.parse("x1 - 10"))
 
 
+def test_density_check_names_the_first_failing_probe_point():
+    # the 16 probes are drawn point by point from default_rng(0) in (0.1, 0.9)
+    rng = np.random.default_rng(0)
+    probes = [{nm: float(rng.uniform(0.1, 0.9)) for nm in ("x1", "x2")} for _ in range(16)]
+    failing = [env for env in probes if env["x1"] * env["x2"] <= 0.1]
+    assert len(failing) > 1 and failing[0] != probes[0]
+    with pytest.raises(ValueError) as err:
+        weyl_chart(2, 1, density=ex.parse("x1*x2 - 0.1"))
+    assert str(err.value) == f"volume density non-positive at probe point {failing[0]}"
+
+
 def test_density_only_base_coordinates():
     with pytest.raises(ValueError):
         weyl_chart(2, 1, density=ex.parse("y"))
