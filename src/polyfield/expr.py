@@ -7,12 +7,13 @@ sin, cos, exp, log, sqrt.  Trees are immutable, exactly differentiable and
 evaluate pointwise on floats or numpy arrays.
 
 Quantities without a closed form (e.g. a matrix inverse that is only
-available numerically) enter as :class:`OpaqueJet` leaves: black boxes that
-report a value and, up to a declared order, exact partial derivatives.
+available numerically) enter as :class:`Opaque` leaves: black boxes that
+carry their value at a point and, where given, the leaves of their exact
+partial derivatives.
 
 Whether a tree is zero is decided on its normal form, a sum of monomials
 with exact rational coefficients over atoms (symbols, primitive calls,
-opaque jets and reciprocals of non-monomial denominators); a modular
+opaque leaves and reciprocals of non-monomial denominators); a modular
 residue carried by every node settles the non-zero cases without building
 it.  The folding constructors collapse any sum or difference that cancels
 to ``ZERO``.
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "Expression", "Const", "Sym", "OpaqueJet", "FunctionJet", "opaque",
+    "Expression", "Const", "Sym", "Opaque",
     "as_expr", "parse", "ZERO", "ONE",
     "ExprError", "ParseError", "UnknownSymbolError", "EvalDomainError",
     "UnboundSymbolError", "JetOrderError",
@@ -95,7 +96,7 @@ class Expression:
 
     def is_zero(self) -> bool:
         """True when the expression is identically zero as a polynomial in
-        its atoms: symbols, primitive calls, opaque jets and reciprocals of
+        its atoms: symbols, primitive calls, opaque leaves and reciprocals of
         non-monomial denominators, with exact rational coefficients.
 
         Never true for a non-zero expression.  It may be false for one that
@@ -374,38 +375,55 @@ _PRIMITIVES = {
 
 
 class Opaque(Expression):
-    """Leaf wrapping an :class:`OpaqueJet`; differentiation delegates to the
-    jet's exact partials."""
+    """Leaf for a quantity with no closed form.
 
-    __slots__ = ("jet",)
+    ``value(env)`` takes an env of scalars, one point, and returns a float;
+    ``evaluate`` maps it over a batch.  ``partial(name)`` returns the leaf of
+    the exact partial derivative in one of ``symbols``; a leaf without it
+    cannot be differentiated further.
+    """
 
-    def __init__(self, jet):
-        self.jet = jet
-        self._res = hash(jet) % _P
+    __slots__ = ("name", "symbols", "value", "partial")
+
+    def __init__(self, name, symbols, value, partial=None):
+        self.name = name
+        self.symbols = frozenset(symbols)
+        self.value = value
+        self.partial = partial
+        self._res = hash(self) % _P
 
     def free_symbols(self):
-        return frozenset(self.jet.symbols)
+        return self.symbols
 
     def evaluate(self, env):
-        """The jet's value; over an env of equally-shaped arrays, its value
-        at each point (the jet itself only takes scalar envs).  Only the
-        first entry is inspected, so that a scalar env pays no scan."""
+        """The value; over an env of equally-shaped arrays, the value at each
+        point.  Only the first entry is inspected, so that a scalar env pays
+        no scan."""
         first = next(iter(env.values()), None)
-        if not isinstance(first, np.ndarray) or not first.ndim:
-            return self.jet.value(env)
-        out = np.empty(first.shape)
-        for idx in np.ndindex(first.shape):
-            out[idx] = self.jet.value({k: float(v[idx]) if np.ndim(v) else v
-                                       for k, v in env.items()})
-        return out
+        try:
+            if not isinstance(first, np.ndarray) or not first.ndim:
+                return self.value(env)
+            out = np.empty(first.shape)
+            for idx in np.ndindex(first.shape):
+                out[idx] = self.value({k: float(v[idx]) if np.ndim(v) else v
+                                      for k, v in env.items()})
+            return out
+        except KeyError as e:
+            name = e.args[0] if len(e.args) == 1 else None
+            if name in self.symbols and name not in env:
+                raise UnboundSymbolError(
+                    f"no value bound for symbol '{name}' of <{self.name}>") from None
+            raise
 
     def diff(self, name):
-        if name not in self.jet.symbols:
+        if name not in self.symbols:
             return ZERO
-        return Opaque(self.jet.partial(name))
+        if self.partial is None:
+            raise JetOrderError(f"<{self.name}> has no derivative in '{name}'")
+        return self.partial(name)
 
     def _normal(self):
-        return _atom_poly(("jet", self.jet))
+        return _atom_poly(("opaque", self))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +506,7 @@ def _inverse(c):
 
 def _order(x):
     """Sort key for atoms, monomials and polynomials that depends only on
-    their content (on identity for jets).  Hashes cannot serve:
+    their content (on identity for opaque leaves).  Hashes cannot serve:
     hash(-1) == hash(-2), so x^-1 and x^-2 would tie."""
     if isinstance(x, frozenset):
         return (3, tuple(sorted(_order(e) for e in x)))
@@ -624,51 +642,6 @@ def _call(fn, a):
     return Call(fn, a)
 
 
-def opaque(jet) -> Expression:
-    return Opaque(jet)
-
-
-# ---------------------------------------------------------------------------
-# opaque jets
-
-class OpaqueJet:
-    """Evaluation contract for coefficients with no closed form.
-
-    ``value(env)`` takes an env of scalars, one point, and returns a float
-    (``Opaque.evaluate`` maps it over a batch); ``partial(name)`` returns
-    another jet for the exact partial derivative.  ``order`` is the number
-    of derivative levels still available; reaching 0 makes further
-    differentiation an error.
-    """
-
-    name = "jet"
-    order = 1
-    symbols = ()
-
-    def value(self, env):
-        raise NotImplementedError
-
-    def partial(self, name) -> "OpaqueJet":
-        raise NotImplementedError
-
-
-class FunctionJet(OpaqueJet):
-    def __init__(self, name, symbols, value_fn, partial_factory=None, order=1):
-        self.name = name
-        self.symbols = tuple(symbols)
-        self._value_fn = value_fn
-        self._partial_factory = partial_factory
-        self.order = order
-
-    def value(self, env):
-        return self._value_fn(env)
-
-    def partial(self, name):
-        if self.order < 1 or self._partial_factory is None:
-            raise JetOrderError(f"jet '{self.name}' has no derivative left for '{name}'")
-        return self._partial_factory(name)
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -687,7 +660,7 @@ def to_source(e) -> str:
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Opaque):
-        return f"<{e.jet.name}>"
+        return f"<{e.name}>"
     if isinstance(e, Call):
         return f"{e.fn}({to_source(e.a)})"
     if isinstance(e, Neg):

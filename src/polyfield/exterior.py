@@ -45,25 +45,8 @@ def canonicalize(idx):
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return None
-    order = sorted(range(len(idx)), key=idx.__getitem__)
-    sign = _perm_sign(order)
-    return tuple(idx[i] for i in order), sign
-
-
-def _perm_sign(order):
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(x > y for x, y in combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 def _shuffle_sign(positions):

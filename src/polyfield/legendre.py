@@ -25,7 +25,8 @@ envelope identities: the critical-point condition kills the dV terms, so
 dH needs only the explicit q-derivative of L and the velocity minors.  No
 derivative of the iterative solve is ever taken, and dH/dp is the pairing
 minors summed per momentum, so one solve and one stack serve H and its
-partials at a point.
+partials at a point.  H and each of its partials enter expressions as
+:class:`~polyfield.expr.Opaque` leaves.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import expr as ex
-from .expr import Expression, OpaqueJet, as_expr
+from .expr import Expression, Opaque, as_expr
 
 __all__ = [
     "Lagrangian", "LegendreError", "SingularHessian", "NoConvergence",
@@ -73,7 +73,7 @@ def velocity_name(chart, alpha: int, i: int) -> str:
 
 class Lagrangian:
     """Scalar L(x, y, v) over the chart's configuration coordinates plus
-    velocity symbols; the expression may contain opaque-jet leaves."""
+    velocity symbols; the expression may contain opaque leaves."""
 
     def __init__(self, chart, expression: Expression):
         self.chart = chart
@@ -293,9 +293,10 @@ def alias_value(chart, i: int, a: int):
     return chart.resolve_qtuple(tuple(seq))
 
 
-class EnvelopeHamiltonian(OpaqueJet):
+class EnvelopeHamiltonian:
     """H(q, p) = W(q, V(q, p), p) with gradient through the envelope
-    identities; usable as an opaque-jet leaf in expressions.
+    identities.  ``as_expression()`` is H as one opaque leaf of expressions,
+    and ``partial(name)`` is the leaf of dH/d``name``.
 
     The velocity cache keeps a jet for each of the ``CACHE_SIZE`` most
     recently used points: v, the evaluation env of L, <p, v> and the entries
@@ -312,11 +313,9 @@ class EnvelopeHamiltonian(OpaqueJet):
     def __init__(self, L: Lagrangian):
         self.L = L
         self.chart = L.chart
-        self.name = "H"
-        self.symbols = tuple(L.chart.names)
-        self.order = 1
         self._key = itemgetter(*L.chart.names)  # the point's coordinates, as a tuple
         self._cache = OrderedDict()
+        self._leaf = Opaque("H", L.chart.names, self.value, self.partial)
         self._partials = {}
         self.cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
         self.last_report = None
@@ -355,10 +354,12 @@ class EnvelopeHamiltonian(OpaqueJet):
         jet = self._jet(pt)
         return jet.pairing - float(self.L.expression.evaluate(jet.env))
 
-    def partial(self, name) -> OpaqueJet:
-        """dH/d``name``, one jet per coordinate, so that the same partial
-        taken twice is the same expression atom."""
-        if name not in self._partials:
+    def partial(self, name) -> Opaque:
+        """The leaf of dH/d``name``, one per coordinate, so that the same
+        partial taken twice is the same expression atom.  It has no partials
+        of its own."""
+        leaf = self._partials.get(name)
+        if leaf is None:
             idx = self.chart.index(name)
 
             def val(pt):
@@ -366,11 +367,11 @@ class EnvelopeHamiltonian(OpaqueJet):
                 if idx not in jet.dh:  # a q-coordinate: -dL/dq, evaluated on first request
                     jet.dh[idx] = -float(self.L.derivative(name).evaluate(jet.env))
                 return jet.dh[idx]
-            self._partials[name] = ex.FunctionJet(f"dH/d{name}", self.symbols, val, None, order=0)
-        return self._partials[name]
+            leaf = self._partials[name] = Opaque(f"dH/d{name}", self.chart.names, val)
+        return leaf
 
     def as_expression(self) -> Expression:
-        return ex.opaque(self)
+        return self._leaf
 
 
 def hamiltonian_tensor(H: EnvelopeHamiltonian, pt, v=None) -> np.ndarray:

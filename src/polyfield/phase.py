@@ -272,27 +272,21 @@ def _graded_specs(n, k, max_fiber):
     return specs
 
 
-def _default_fiber_names(k):
+def _fiber_names(k):
     return ("y",) if k == 1 else tuple(f"y{i}" for i in range(1, k + 1))
 
 
-def full_chart(n, k, density=None, fiber_names=None) -> Chart:
+def full_chart(n, k, density=None) -> Chart:
     """Phase space with the complete set of graded momenta: n + k + C(n+k, n)
     coordinates."""
-    fiber_names = tuple(fiber_names) if fiber_names else _default_fiber_names(k)
-    if len(fiber_names) != k:
-        raise ValueError("fiber_names length must equal k")
-    return Chart("full", tuple(f"x{a}" for a in range(1, n + 1)), fiber_names,
+    return Chart("full", tuple(f"x{a}" for a in range(1, n + 1)), _fiber_names(k),
                  _graded_specs(n, k, max_fiber=n), density)
 
 
-def weyl_chart(n, k, density=None, fiber_names=None) -> Chart:
+def weyl_chart(n, k, density=None) -> Chart:
     """Restriction keeping eps and the single-fiber momenta (all momenta with
     two or more fiber indices pinned to zero)."""
-    fiber_names = tuple(fiber_names) if fiber_names else _default_fiber_names(k)
-    if len(fiber_names) != k:
-        raise ValueError("fiber_names length must equal k")
-    return Chart("weyl", tuple(f"x{a}" for a in range(1, n + 1)), fiber_names,
+    return Chart("weyl", tuple(f"x{a}" for a in range(1, n + 1)), _fiber_names(k),
                  _graded_specs(n, k, max_fiber=1), density)
 
 
@@ -315,7 +309,7 @@ def restrict_weyl(chart: Chart) -> Chart:
     """The Weyl restriction of a full chart (identity when nothing to pin)."""
     if chart.kind != "full":
         raise ValueError("restrict_weyl expects a full chart")
-    return weyl_chart(chart.n, chart.k, chart.density, chart.fiber_names)
+    return weyl_chart(chart.n, chart.k, chart.density)
 
 
 def embed_point(weyl: Chart, full: Chart, pt):

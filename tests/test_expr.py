@@ -6,7 +6,7 @@ import pytest
 
 from polyfield import expr
 from polyfield.expr import (
-    Const, Sym, EvalDomainError, FunctionJet, ParseError, UnknownSymbolError,
+    Const, Sym, EvalDomainError, Opaque, ParseError, UnknownSymbolError,
     parse, to_source,
 )
 
@@ -168,17 +168,15 @@ def _quadratic_jet():
 
     def partial(name):
         if name == "u":
-            return FunctionJet("f_u", ("u", "w"), lambda env: 2 * env["u"] * env["w"],
-                               lambda n: _const_jet({"u": lambda e: 2 * e["w"], "w": lambda e: 2 * e["u"]}[n]),
-                               order=1)
-        return FunctionJet("f_w", ("u", "w"), lambda env: env["u"] ** 2,
-                           lambda n: _const_jet({"u": lambda e: 2 * e["u"], "w": lambda e: 0.0}[n]),
-                           order=1)
+            return Opaque("f_u", ("u", "w"), lambda env: 2 * env["u"] * env["w"],
+                          lambda n: _const_jet({"u": lambda e: 2 * e["w"], "w": lambda e: 2 * e["u"]}[n]))
+        return Opaque("f_w", ("u", "w"), lambda env: env["u"] ** 2,
+                      lambda n: _const_jet({"u": lambda e: 2 * e["u"], "w": lambda e: 0.0}[n]))
 
     def _const_jet(fn):
-        return FunctionJet("f2", ("u", "w"), fn, None, order=0)
+        return Opaque("f2", ("u", "w"), fn)
 
-    return FunctionJet("f", ("u", "w"), val, partial, order=2)
+    return Opaque("f", ("u", "w"), val, partial)
 
 
 def jet_gradient_check(jet, points, h=1e-6):
@@ -204,18 +202,32 @@ def test_opaque_jet_gradient_against_central_differences():
 
 def test_opaque_jet_inside_expression_tree():
     jet = _quadratic_jet()
-    e = expr.opaque(jet) * Sym("u") + Const(1.0)
+    e = jet * Sym("u") + Const(1.0)
     env = {"u": 1.5, "w": 0.5}
     assert e.evaluate(env) == pytest.approx(1.5 ** 2 * 0.5 * 1.5 + 1.0)
     d = e.diff("u")  # product rule across the opaque leaf
     assert d.evaluate(env) == pytest.approx(2 * 1.5 * 0.5 * 1.5 + 1.5 ** 2 * 0.5)
 
 
+def test_opaque_jet_third_derivative_raises():
+    second = _quadratic_jet().diff("u").diff("w")
+    assert second.evaluate({"u": 1.5, "w": 0.5}) == pytest.approx(3.0)
+    assert second.diff("x") is expr.ZERO
+    with pytest.raises(expr.JetOrderError, match="f2"):
+        second.diff("u")
+
+
+def test_opaque_leaf_names_a_missing_symbol():
+    e = _quadratic_jet() + Sym("u")
+    with pytest.raises(expr.UnboundSymbolError, match="'w'"):
+        e.evaluate({"u": 1.0})
+
+
 def test_opaque_jet_evaluates_over_an_array_env():
     # the jet's value takes one point of scalars (math.sin refuses arrays);
     # the leaf maps it over the batch
-    jet = FunctionJet("g", ("u", "w"), lambda env: math.sin(env["u"]) * env["w"])
-    e = expr.opaque(jet) * Sym("u") + Const(1.0)
+    jet = Opaque("g", ("u", "w"), lambda env: math.sin(env["u"]) * env["w"])
+    e = jet * Sym("u") + Const(1.0)
     rng = np.random.default_rng(6)
     points = [{"u": float(u), "w": float(w)} for u, w in rng.uniform(-1, 1, (5, 2))]
     batch = {nm: np.array([pt[nm] for pt in points]) for nm in ("u", "w")}

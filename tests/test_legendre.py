@@ -223,7 +223,7 @@ def test_envelope_hamiltonian_evaluates_over_a_batch():
     rng = np.random.default_rng(14)
     pts = [chart.random_point(rng) for _ in range(6)]
     batch = {nm: np.array([pt[nm] for pt in pts]) for nm in chart.names}
-    e = ex.opaque(H) * chart.sym("x1") + ex.opaque(H.partial("p1"))
+    e = H.as_expression() * chart.sym("x1") + H.partial("p1")
     got = e.evaluate(batch)
     assert got.shape == (6,)
     assert np.array_equal(got, [e.evaluate(pt) for pt in pts])
@@ -427,6 +427,25 @@ def test_envelope_partial_is_one_atom_per_coordinate():
     H = EnvelopeHamiltonian(kg_lagrangian(chart)).as_expression()
     assert (H.diff("p1") - H.diff("p1")).is_zero()
     assert not (H.diff("p1") - H.diff("p2")).is_zero()
+
+
+def test_envelope_leaves_are_built_once():
+    H = EnvelopeHamiltonian(kg_lagrangian(weyl_chart(2, 1)))
+    assert H.as_expression() is H.as_expression()
+    assert H.partial("p1") is H.partial("p1")
+
+
+def test_envelope_partial_leaf_has_no_second_derivative():
+    H = EnvelopeHamiltonian(kg_lagrangian(weyl_chart(2, 1)))
+    with pytest.raises(ex.JetOrderError, match="dH/dp1"):
+        H.partial("p1").diff("x1")
+
+
+def test_envelope_leaf_names_a_missing_symbol():
+    chart = weyl_chart(2, 1)
+    e = EnvelopeHamiltonian(kg_lagrangian(chart)).as_expression() + chart.sym("x1")
+    with pytest.raises(ex.UnboundSymbolError, match="'x2'"):
+        e.evaluate({"x1": 0.0})
 
 
 def test_envelope_cache_is_bounded_and_counts(caplog):

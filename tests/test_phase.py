@@ -6,6 +6,7 @@ import pytest
 
 from polyfield import expr as ex
 from polyfield.exterior import canonicalize, contract
+from polyfield.legendre import velocity_name
 from polyfield.phase import (
     embed_form, embed_point, full_chart, maxwell_chart,
     restrict_weyl, weyl_chart,
@@ -138,6 +139,16 @@ def test_known_alias_signs_n2_k1():
     coord, sign = chart.resolve_qtuple((0, 2))
     assert chart.names[coord] == "p2"
     assert sign == 1
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_chart_names_are_distinct_and_not_velocities(n, k):
+    full = full_chart(n, k)
+    for chart in (full, weyl_chart(n, k), restrict_weyl(full), maxwell_chart(max(n, 2))):
+        assert len(set(chart.names)) == chart.dim == len(chart.names)
+        velocities = {velocity_name(chart, a, i)
+                      for a in range(1, chart.n + 1) for i in range(1, chart.k + 1)}
+        assert not velocities & set(chart.names)
 
 
 def test_weyl_restriction_counts_and_identity():
