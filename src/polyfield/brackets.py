@@ -8,10 +8,14 @@ blocks are pairwise disjoint, so when da stays in their span the system is
 diagonal per momentum, with one equation for each presentation of it that
 the aliases must agree on, and Xi comes out in closed form
 (``theta_basis_solve``).  Otherwise the system is evaluated over the batch
-of probe points: ``xi_general`` takes its least squares at each point,
-``HamiltonianPair.verify`` its residual at a given field.  The momentum
-form X . theta of a configuration field X has Xi = X plus the momentum
-correction that solves -L_X theta in the same closed form (``xi_p``).
+of probe points, its Omega columns by one compiled ``Program`` per chart:
+``HamiltonianPair.verify`` takes its residual at a given field, and
+``xi_general`` its least squares at each point.  The same block structure
+splits that solve: each momentum is eliminated in closed form against its
+group of rows, and the configuration columns that remain are solved by one
+batched SVD.  The momentum form X . theta of a configuration field X has
+Xi = X plus the momentum correction that solves -L_X theta in the same
+closed form (``xi_p``).
 
 Brackets:
 
@@ -34,7 +38,7 @@ import logging
 
 import numpy as np
 
-from .expr import ZERO, Expression, as_expr
+from .expr import ZERO, Expression, Program, as_expr
 from .exterior import Form, VectorField, canonicalize, contract, exterior_derivative, \
     lie_derivative, wedge_vectors
 
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 log = logging.getLogger("polyfield.brackets")
+system_log = logging.getLogger("polyfield.brackets.system")
 
 
 class BracketError(Exception):
@@ -159,7 +164,87 @@ def pi_field(chart, nu: str, mu: str) -> VectorField:
 def _batch_env(points):
     """One env of equal-shaped arrays, one entry per point, for a list of
     point dicts."""
-    return {name: np.array([pt[name] for pt in points], dtype=float) for name in points[0]}
+    names = list(points[0])
+    values = np.array([[pt[name] for name in names] for pt in points], dtype=float)
+    return dict(zip(names, values.T))
+
+
+class _Columns:
+    """The chart-only half of the defining system: the Omega columns' row
+    keys, one ``Program`` over their entries, and the block structure read
+    off the q-subset table.  Momentum column c is non-zero exactly on the
+    presentations of c (its group of rows); the groups are disjoint, and
+    every other row meets configuration columns only."""
+
+    def __init__(self, chart):
+        cols = [chart.contract_omega_with(c) for c in range(chart.dim)]
+        self.keys = sorted({k for col in cols for k in col.coeffs})
+        self.row = {k: r for r, k in enumerate(self.keys)}
+        self.rows = np.arange(len(self.keys))
+        places = [(self.row[k], c, coeff) for c, col in enumerate(cols)
+                  for k, coeff in col.coeffs.items()]
+        self.program = Program([coeff for _, _, coeff in places])
+        self.places = np.array([p[:2] for p in places], dtype=np.intp).T
+        self.config = slice(0, chart.n + chart.k)  # the coordinates before the momenta
+        self.momenta = np.array([mc.index for mc in chart.momenta])
+        sizes = np.array([len(mc.presentations) for mc in chart.momenta])
+        self.group_rows = np.array([self.row[I] for mc in chart.momenta
+                                    for I, _ in mc.presentations])
+        self.group_cols = np.repeat(self.momenta, sizes)
+        self.incidence = np.repeat(np.eye(len(sizes)), sizes, axis=1)  # group x its rows
+        self.same_group = self.incidence.T @ self.incidence
+        self.multi = np.repeat(sizes > 1, sizes)
+        self.free = np.delete(self.rows, self.group_rows)
+        system_log.debug("defining system of %r: configuration columns %s, rows per momentum "
+                         "%s, %d configuration-only rows", chart, list(chart.names[self.config]),
+                         dict(zip((mc.name for mc in chart.momenta), sizes.tolist())),
+                         len(self.free))
+
+    def rows_for(self, da: Form):
+        """(row keys, {key: row}, row of each column key) of the system with
+        da: the column keys, merged with those of da where it has more."""
+        if self.row.keys() >= da.coeffs.keys():
+            return self.keys, self.row, self.rows
+        keys = sorted(set(da.coeffs).union(self.keys))
+        row = {k: r for r, k in enumerate(keys)}
+        return keys, row, np.array([row[k] for k in self.keys])
+
+    def solve(self, A, b, rows):
+        """Least-squares xi of A xi = -b and its rank, per point.
+
+        Each momentum is eliminated in closed form: with a its column on its
+        group's rows, u = a/|a| and Y, b_g the configuration columns and b
+        there, it is -u . (Y x + b_g)/|a|, and the group's rows enter the
+        configuration block projected off u.  A single-row group drops out;
+        a column that vanishes at a point leaves its rows whole and its
+        momentum 0.  One batched SVD solves the block with the ``lstsq``
+        cutoff; the rank is its rank plus the groups with a non-zero column."""
+        cfg, gr, fr = self.config, rows[self.group_rows], rows[self.free]
+        a = A[:, gr, self.group_cols]
+        Yb = np.concatenate((A[:, gr, cfg], b[:, gr, None]), axis=2)
+        norm = np.sqrt((a * a) @ self.incidence.T)
+        na = norm @ self.incidence
+        u = np.divide(a, na, out=np.zeros_like(a), where=na > 0.0)[..., None]
+        keep = self.multi | ~u[..., 0].all(axis=0)
+        uk, Ybk = u[:, keep], Yb[:, keep]
+        proj = Ybk - uk * (self.same_group[np.ix_(keep, keep)] @ (uk * Ybk))
+        U, s, Vt = np.linalg.svd(np.concatenate((A[:, fr, cfg], proj[..., :-1]), axis=1),
+                                 full_matrices=False)
+        big = s > np.finfo(float).eps * max(A.shape[1:]) * s[:, :1]
+        rhs = np.concatenate((b[:, fr], proj[..., -1]), axis=1)
+        w = np.divide((rhs[:, None] @ U)[:, 0], s, out=np.zeros_like(s), where=big)
+        x = -(w[:, None] @ Vt)[:, 0]
+        dot = (u[..., 0] * ((Yb[..., :-1] @ x[..., None])[..., 0] + Yb[..., -1])) @ self.incidence.T
+        xi = np.zeros((len(A), A.shape[2]))
+        xi[:, cfg] = x
+        xi[:, self.momenta] = -np.divide(dot, norm, out=np.zeros_like(norm), where=norm > 0.0)
+        return xi, big.sum(axis=1) + (norm > 0.0).sum(axis=1)
+
+
+def _columns(chart) -> _Columns:
+    if chart._system_columns is None:
+        chart._system_columns = _Columns(chart)
+    return chart._system_columns
 
 
 def _defining_system(chart, da: Form, points):
@@ -168,18 +253,20 @@ def _defining_system(chart, da: Form, points):
     the union of their index blocks.  Returns A of shape (points, rows,
     dim) and b of shape (points, rows).
 
-    Each distinct coefficient object is evaluated once, over the whole
-    batch: the Omega columns repeat the density in many entries."""
-    columns = [chart.contract_omega_with(c) for c in range(chart.dim)]
-    keys = sorted(set(da.coeffs) | {k for col in columns for k in col.coeffs})
-    key_row = {k: r for r, k in enumerate(keys)}
+    The Omega columns depend only on the chart: the chart's ``Program``
+    evaluates them over the whole batch, each distinct structure once.  The
+    coefficients of da are new for every form and are walked, each
+    distinct object once."""
+    cols = _columns(chart)
+    keys, key_row, rows = cols.rows_for(da)
     env = _batch_env(points)
-    distinct = {id(coeff): coeff for form in columns + [da] for coeff in form.coeffs.values()}
-    values = {i: coeff.evaluate(env) for i, coeff in distinct.items()}
+    vals = cols.program.run(env)
+    V = np.empty((len(vals), len(points)))
+    for k, v in enumerate(vals):
+        V[k] = v
     A = np.zeros((len(points), len(keys), chart.dim))
-    for c, col in enumerate(columns):
-        for k, coeff in col.coeffs.items():
-            A[:, key_row[k], c] = values[id(coeff)]
+    A[:, rows[cols.places[0]], cols.places[1]] = V[cols.program.outputs].T
+    values = {id(coeff): coeff.evaluate(env) for coeff in da.coeffs.values()}
     b = np.zeros((len(points), len(keys)))
     for k, coeff in da.coeffs.items():
         b[:, key_row[k]] = values[id(coeff)]
@@ -193,18 +280,19 @@ def _require_points(points):
 
 def _residuals(A, b, xi):
     """max |A[p] xi[p] + b[p]| for each point p."""
-    return [float(np.max(np.abs(Ap @ x + bp))) if len(bp) else 0.0
-            for Ap, x, bp in zip(A, xi, b)]
+    return np.abs((A @ xi[..., None])[..., 0] + b).max(axis=1, initial=0.0).tolist()
 
 
 def _lstsq_xi(chart, da: Form, points):
     """Least-squares xi of the defining system at each point of the batch:
     (solutions of shape (points, dim), max |A xi + b| per point, rank of A
-    per point)."""
+    per point).  The system is split by the chart's block structure
+    (``_Columns.solve``), not factorized whole; its residual is taken on
+    the full system."""
     A, b = _defining_system(chart, da, points)
-    solved = [np.linalg.lstsq(Ap, -bp, rcond=None) for Ap, bp in zip(A, b)]
-    sols = np.array([s[0] for s in solved])
-    return sols, _residuals(A, b, sols), [s[2] for s in solved]
+    cols = _columns(chart)
+    sols, ranks = cols.solve(A, b, cols.rows_for(da)[2])
+    return sols, _residuals(A, b, sols), ranks
 
 
 class PointwiseXi:

@@ -11,6 +11,11 @@ available numerically) enter as :class:`Opaque` leaves: black boxes that
 carry their value at a point and, where given, the leaves of their exact
 partial derivatives.
 
+Expressions that are evaluated again and again (the Omega columns of a
+chart) compile to a :class:`Program`: one straight-line list of steps in
+which every distinct structure is computed once, with the values and the
+errors of the tree walks.
+
 Whether a tree is zero is decided on its normal form, a sum of monomials
 with exact rational coefficients over atoms (symbols, primitive calls,
 opaque leaves and reciprocals of non-monomial denominators); a modular
@@ -22,12 +27,13 @@ to ``ZERO``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "Expression", "Const", "Sym", "Opaque",
+    "Expression", "Const", "Sym", "Opaque", "Program",
     "as_expr", "parse", "ZERO", "ONE",
     "ExprError", "ParseError", "UnknownSymbolError", "EvalDomainError",
     "UnboundSymbolError", "JetOrderError",
@@ -250,7 +256,10 @@ class Mul(_Binary):
         return self.a.evaluate(env) * self.b.evaluate(env)
 
     def diff(self, name):
-        return add(mul(self.a.diff(name), self.b), mul(self.a, self.b.diff(name)))
+        a, b = self.a, self.b
+        if type(a) is Const or type(b) is Const:  # one term of the product rule is zero
+            return mul(a, b.diff(name)) if type(a) is Const else mul(a.diff(name), b)
+        return add(mul(a.diff(name), b), mul(a, b.diff(name)))
 
     @staticmethod
     def _combine(ra, rb):
@@ -264,11 +273,13 @@ class Div(_Binary):
     __slots__ = ()
 
     def evaluate(self, env):
-        den = self.b.evaluate(env)
+        return self._apply(self.a.evaluate(env), self.b.evaluate(env))
+
+    def _apply(self, num, den):
         # np.any on a scalar costs more than the division it guards
         if (den == 0.0) if isinstance(den, float) else np.any(den == 0.0):
             raise EvalDomainError(f"division by zero in {to_source(self)}")
-        return self.a.evaluate(env) / den
+        return num / den
 
     def diff(self, name):
         # (a/b)' = a'/b - a b'/b^2
@@ -296,7 +307,9 @@ class Pow(Expression):
         return self.base.free_symbols()
 
     def evaluate(self, env):
-        b = self.base.evaluate(env)
+        return self._apply(self.base.evaluate(env))
+
+    def _apply(self, b):
         if self.k < 0 and np.any(b == 0.0):
             raise EvalDomainError(f"zero base with negative power in {to_source(self)}")
         return b ** self.k
@@ -348,7 +361,9 @@ class Call(Expression):
         return self.a.free_symbols()
 
     def evaluate(self, env):
-        x = self.a.evaluate(env)
+        return self._apply(self.a.evaluate(env))
+
+    def _apply(self, x):
         fn, domain, _ = _PRIMITIVES[self.fn]
         if domain is not None and np.any(domain[1](x)):
             raise EvalDomainError(f"{self.fn} of {domain[0]} value in {to_source(self)}")
@@ -539,16 +554,14 @@ def _fold(value, op, *operands):
     return Const(value)
 
 
-def _zero_const(e):
-    return isinstance(e, Const) and e.value == 0.0
-
-
 def add(a, b):
-    if _zero_const(a):
+    ca = type(a) is Const
+    if ca and a.value == 0.0:
         return b
-    if _zero_const(b):
+    cb = type(b) is Const
+    if cb and b.value == 0.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if ca and cb:
         return _fold(a.value + b.value, "add", a, b)
     node = Add(a, b)
     return ZERO if node.is_zero() else node
@@ -559,18 +572,18 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if _zero_const(a) or _zero_const(b):
+    ka = a.value if type(a) is Const else None
+    kb = b.value if type(b) is Const else None
+    if ka is None and kb is None:
+        return Mul(a, b)
+    if ka == 0.0 or kb == 0.0:
         return ZERO
-    if a.is_const(1.0):
-        return b
-    if b.is_const(1.0):
-        return a
-    if a.is_const(-1.0):
-        return neg(b)
-    if b.is_const(-1.0):
-        return neg(a)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(a.value * b.value, "mul", a, b)
+    if ka in (1.0, -1.0):
+        return b if ka == 1.0 else neg(b)
+    if kb in (1.0, -1.0):
+        return a if kb == 1.0 else neg(a)
+    if ka is not None and kb is not None:
+        return _fold(ka * kb, "mul", a, b)
     return Mul(a, b)
 
 
@@ -579,7 +592,7 @@ def div(a, b):
     constant zero does."""
     if b.is_zero():
         raise EvalDomainError(f"division by zero: {to_source(b)} expands to zero")
-    if _zero_const(a):
+    if type(a) is Const and a.value == 0.0:
         return ZERO
     if b.is_const(1.0):
         return a
@@ -640,6 +653,55 @@ def _call(fn, a):
         with np.errstate(over="ignore"):
             return _fold(float(Call(fn, a).evaluate({})), fn, a)
     return Call(fn, a)
+
+
+# ---------------------------------------------------------------------------
+# straight-line programs
+
+class Program:
+    """A list of expressions compiled to one sequence of steps over slots,
+    equal structures sharing a slot (opaque leaves by identity).  A step is
+    the node's own arithmetic, and leaves and the guarded Div, Pow and Call
+    run their own code, so ``run(env)`` gives the tree walks' values bit for
+    bit and raises their errors.  ``run`` returns one value per distinct
+    expression: that of ``exprs[j]`` is ``run(env)[outputs[j]]``."""
+
+    _OPS = {Add: operator.add, Mul: operator.mul, Neg: operator.neg}
+
+    def __init__(self, exprs):
+        self.steps, slots, seen = [], {}, {}
+        out = [self._slot(e, slots, seen) for e in exprs]
+        self.results = list(dict.fromkeys(out))
+        self.outputs = [self.results.index(slot) for slot in out]
+
+    def _slot(self, e, slots, seen):
+        if id(e) in seen:
+            return seen[id(e)]
+        t = type(e)
+        if t in (Const, Sym, Opaque):
+            args, key = (), (t, e.value.hex() if t is Const else e.name if t is Sym else id(e))
+        else:
+            kids = (e.a, e.b) if isinstance(e, _Binary) else (e.base,) if t is Pow else (e.a,)
+            args = tuple(self._slot(c, slots, seen) for c in kids)
+            key = (t, args, getattr(e, "k", None), getattr(e, "fn", None))
+        if key not in slots:
+            slots[key] = len(self.steps)
+            self.steps.append((self._OPS.get(t) or (e._apply if args else e.evaluate), args))
+        seen[id(e)] = slots[key]
+        return slots[key]
+
+    def run(self, env) -> list:
+        """The values of the distinct expressions at ``env``."""
+        vals = []
+        push = vals.append
+        for fn, args in self.steps:
+            if not args:
+                push(fn(env))
+            elif len(args) == 2:
+                push(fn(vals[args[0]], vals[args[1]]))
+            else:
+                push(fn(vals[args[0]]))
+        return [vals[i] for i in self.results]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,7 @@ class Chart:
         self._omega_d = None
         self._theta_basis = None
         self._contract_cache = {}
+        self._system_columns = None  # brackets' compiled Omega columns, built on first use
         self._minor_tables = None  # legendre's stacked-minor tables, built on first use
 
     # -- construction helpers ------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 
@@ -276,6 +277,13 @@ def test_batched_defining_system_equals_the_per_point_loop(name):
             assert np.array_equal(A[p], A_ref) and np.array_equal(b[p], b_ref)
 
 
+def residual_close(got, oracle):
+    """The split solve and the oracle's full ``lstsq`` are two
+    factorizations, which round differently: residuals agree to a relative
+    1e-12, not bit for bit."""
+    return abs(got - oracle) <= 1e-12 * max(1.0, oracle)
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_CHARTS))
 def test_xi_general_decision_matches_per_point_lstsq(name):
     chart = BATCH_CHARTS[name]()
@@ -293,11 +301,11 @@ def test_xi_general_decision_matches_per_point_lstsq(name):
             got = xi_general(form, pts)
         except NotBracketable as refusal:
             assert worst > 1e-9
-            assert refusal.residual == worst
+            assert residual_close(refusal.residual, worst)
             decisions.append("rejected")
             continue
         assert worst <= 1e-9
-        assert got.residual == worst
+        assert residual_close(got.residual, worst)
         assert got.rank_deficient == (rank < chart.dim)
         decisions.append("accepted")
     assert decisions[-1] == "rejected"
@@ -392,6 +400,148 @@ def test_xi_p_field_equals_the_cartan_solve_exactly(name):
             assert (got.component(i) - c).is_zero(), (name, chart.names[i])
         solved += 1
     assert solved >= 1
+
+
+# -- the compiled Omega columns and the split solve -------------------------------
+
+def column_coeffs(chart):
+    return [coeff for c in range(chart.dim)
+            for coeff in chart.contract_omega_with(c).coeffs.values()]
+
+
+def program_values(program, env):
+    vals = program.run(env)
+    return [vals[i] for i in program.outputs]
+
+
+@pytest.mark.parametrize("name", sorted(set(BATCH_CHARTS) | set(XI_P_CHARTS)))
+def test_the_column_program_equals_the_tree_walk(name):
+    chart = {**BATCH_CHARTS, **XI_P_CHARTS}[name]()
+    env = brackets._batch_env(probes(chart, np.random.default_rng(64), 8))
+    program = brackets._columns(chart).program
+    coeffs = column_coeffs(chart)
+    assert len(program.outputs) == len(coeffs)
+    assert len(program.results) <= len({id(c) for c in coeffs})
+    for coeff, got in zip(coeffs, program_values(program, env)):
+        assert np.array_equal(np.broadcast_to(got, 8), np.broadcast_to(coeff.evaluate(env), 8))
+
+
+def test_the_column_program_raises_as_the_tree_walk_does():
+    # d/dx1 of the density puts (x1 + 2) in a denominator of the Omega columns
+    chart = weyl_chart(2, 1, density=ex.parse("1 + 1/(x1 + 2)"))
+    program = brackets._columns(chart).program
+    coeffs = column_coeffs(chart)
+    pts = probes(chart, np.random.default_rng(65), 8)
+    pts[3]["x1"] = -2.0
+    env = brackets._batch_env(pts)
+    with pytest.raises(ex.EvalDomainError):
+        program.run(env)
+    with pytest.raises(ex.EvalDomainError):
+        [coeff.evaluate(env) for coeff in coeffs]
+    with pytest.raises(ex.EvalDomainError):
+        xi_general(random_q_form(chart, np.random.default_rng(65)), pts)
+    del env["x1"]
+    with pytest.raises(ex.UnboundSymbolError):
+        program.run(env)
+    with pytest.raises(ex.UnboundSymbolError):
+        [coeff.evaluate(env) for coeff in coeffs]
+
+
+def test_structurally_equal_subtrees_share_one_step():
+    x, y = ex.Sym("x"), ex.Sym("y")
+    program = ex.Program([x * y + ex.Const(2.0), ex.Sym("x") * ex.Sym("y"), x * y - x / y,
+                          x ** 2 - x ** 3, x * y])
+    # x, y, x*y, 2, x*y + 2, x/y, -(x/y), x*y - x/y, x^2, x^3, -(x^3), x^2 - x^3
+    assert len(program.steps) == 12 and program.outputs == [0, 1, 2, 3, 1]
+    assert program_values(program, {"x": 3.0, "y": 2.0}) == [8.0, 6.0, 4.5, -18.0, 6.0]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CHARTS))
+def test_split_solve_matches_the_full_lstsq_oracle(name):
+    chart = BATCH_CHARTS[name]()
+    for seed in range(61, 71):
+        rng = np.random.default_rng(seed)
+        pts = probes(chart, rng, 8)
+        for form in [random_q_form(chart, rng) for _ in range(2)] + [eps_form(chart, rng)]:
+            da = exterior_derivative(form)
+            sols, residuals, ranks = brackets._lstsq_xi(chart, da, pts)
+            oracle = []
+            for env in pts:
+                A, b = per_point_system(chart, da, env)
+                sol, _, rank, _ = np.linalg.lstsq(A, -b, rcond=None)
+                oracle.append((sol, float(np.max(np.abs(A @ sol + b))), rank))
+            assert list(ranks) == [rank for _, _, rank in oracle]
+            for got, sol, (want, worst, rank) in zip(residuals, sols, oracle):
+                assert residual_close(got, worst)
+                # a full-rank least-squares solution is unique, accepted or not
+                assert rank < chart.dim or np.allclose(sol, want, rtol=0.0, atol=1e-9)
+            worst = max(w for _, w, _ in oracle)
+            try:
+                solved = xi_general(form, pts)
+            except NotBracketable:
+                assert worst > 1e-9
+                continue
+            assert worst <= 1e-9
+            if solved.rank_deficient:
+                continue
+            for env, (sol, _, _) in zip(pts, oracle):
+                comps, _ = solved.solve_at(env)
+                assert np.allclose([comps.get(i, 0.0) for i in range(chart.dim)], sol,
+                                   rtol=0.0, atol=1e-9)
+
+
+def test_split_solve_keeps_the_rows_of_a_vanishing_momentum_column():
+    # the density x1 vanishes where x1 = 0, and every momentum column with it
+    chart = weyl_chart(2, 1, density=ex.parse("x1"))
+    rng = np.random.default_rng(66)
+    pts = probes(chart, rng, 8)
+    for p in (2, 5):
+        pts[p]["x1"] = 0.0
+    for form in [random_q_form(chart, rng) for _ in range(3)]:
+        da = exterior_derivative(form)
+        _, residuals, ranks = brackets._lstsq_xi(chart, da, pts)
+        for p, env in enumerate(pts):
+            A, b = per_point_system(chart, da, env)
+            sol, _, rank, _ = np.linalg.lstsq(A, -b, rcond=None)
+            assert ranks[p] == rank and (rank < chart.dim) == (p in (2, 5))
+            assert residual_close(residuals[p], float(np.max(np.abs(A @ sol + b))))
+
+
+def test_xi_general_walks_no_omega_column(monkeypatch):
+    chart = BATCH_CHARTS["curved_full_3_3"]()
+    rng = np.random.default_rng(67)
+    form, pts = random_q_form(chart, rng), probes(chart, rng, 8)
+    inner = (ex.Add, ex.Mul, ex.Div, ex.Pow, ex.Neg, ex.Call)
+    column_nodes, stack = set(), column_coeffs(chart)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, inner) and id(node) not in column_nodes:
+            column_nodes.add(id(node))
+            stack.extend(getattr(node, slot) for slot in ("a", "b", "base") if hasattr(node, slot))
+    walked = []
+    for cls in inner:
+        def counted(self, env, _evaluate=cls.evaluate):
+            walked.append(id(self))
+            return _evaluate(self, env)
+        monkeypatch.setattr(cls, "evaluate", counted)
+    xi_general(form, pts)
+    assert walked, "the coefficients of da are walked"
+    assert column_nodes and not column_nodes & set(walked)
+
+
+def test_the_block_structure_is_logged_once_per_chart(caplog):
+    chart = maxwell_chart(3)
+    rng = np.random.default_rng(68)
+    pts = probes(chart, rng, 4)
+    with caplog.at_level(logging.DEBUG, logger="polyfield.brackets.system"):
+        for _ in range(2):
+            with contextlib.suppress(NotBracketable):
+                xi_general(random_q_form(chart, rng), pts)
+    logged = [r.getMessage() for r in caplog.records if r.name == "polyfield.brackets.system"]
+    assert logged == [
+        f"defining system of {chart!r}: configuration columns ['x1', 'x2', 'x3', 'A1', 'A2', "
+        "'A3'], rows per momentum {'eps': 1, 'pA1_2': 2, 'pA1_3': 2, 'pA2_3': 2}, "
+        "21 configuration-only rows"]
 
 
 def test_xi_p_scalar_field_display_on_curved_chart():
